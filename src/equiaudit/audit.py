@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -37,6 +36,7 @@ from .conv import (
     transform_filter,
 )
 from .errors import (
+    ConstantFeatureError,
     DomainFitError,
     GeometryMismatchError,
     NoCounterexampleError,
@@ -147,16 +147,17 @@ class CounterexampleCertificate:
 def fit_rate(spacings: Sequence[float], residuals: Sequence[float], floor: float) -> float:
     """Least-squares slope p of log residual against log spacing.
 
-    Points at or below the floor carry no rate information; with fewer than
-    two informative points the residual has already converged and the rate is
-    reported as +inf.
+    Points at or below the floor carry no rate information, and neither does a
+    single spacing; with fewer than two informative points at distinct
+    spacings the residual has already converged (or was measured once) and the
+    rate is reported as +inf.
     """
     pts = [
         (h, r)
         for h, r in zip(spacings, residuals)
         if r > floor and r > 0.0
     ]
-    if len(pts) < 2:
+    if len({h for h, _ in pts}) < 2:
         return math.inf
     hs = np.log([p[0] for p in pts])
     rs = np.log([p[1] for p in pts])
@@ -194,14 +195,26 @@ def alignment_residual(
             f"warped content radius {T_h.operator_norm() * r_f:.4g} plus reads "
             f"{r_op + h:.4g} exceeds extent {geom.extent}"
         )
-    lhs = resample_affine(op(resample_affine(f, T_h)), T_g)
-    rhs = op(f) if baseline is None else baseline
+    baseline = op(f) if baseline is None else baseline
+    return _realigned_residual(op(resample_affine(f, T_h)), baseline, T_g, r_op, norm)[0]
+
+
+def _realigned_residual(
+    warped_out: Grid, baseline: Grid, T_g: LinearMap2, r_op: float, norm: str = "sup"
+) -> Tuple[float, Grid]:
+    """Core of the alignment law on an already computed response to the warped
+    input: realign it by T_g and compare it with the baseline over the interior
+    trusted after reads of radius r_op + h. Returns the residual and the
+    realigned response."""
+    lhs = resample_affine(warped_out, T_g)
+    geom = baseline.geometry
+    h = geom.spacing
     mask = interior_mask(geom, r_op + h, warp=T_g)
     if norm == "sup":
-        return _masked_sup(lhs.values, rhs.values, mask)
+        return _masked_sup(lhs.values, baseline.values, mask), lhs
     if norm == "l1":
-        diff = np.where(mask, np.abs(lhs.values - rhs.values), 0.0)
-        return float(pairwise_sum(diff) * h * h)
+        diff = np.where(mask, np.abs(lhs.values - baseline.values), 0.0)
+        return float(pairwise_sum(diff) * h * h), lhs
     raise ValueError(f"unknown norm {norm!r}")
 
 
@@ -454,10 +467,18 @@ def generator_invariance_residual(
     """
     if not corpus:
         raise ValueError("corpus must be nonempty")
+    return _worst_generator_delta(
+        [(generator_eval(op, f), generator_eval(op, resample_affine(f, T))) for f in corpus]
+    )
+
+
+def _worst_generator_delta(
+    mus: Sequence[Tuple[float, float]]
+) -> Tuple[float, GeneratorRecord]:
+    """Core of the generator-invariance law: the largest |mu_warped - mu_plain|
+    over (mu_plain, mu_warped) pairs, the first argmax winning ties."""
     worst = None
-    for i, f in enumerate(corpus):
-        mu_f = generator_eval(op, f)
-        mu_w = generator_eval(op, resample_affine(f, T))
+    for i, (mu_f, mu_w) in enumerate(mus):
         delta = abs(mu_w - mu_f)
         if worst is None or delta > worst[0]:
             worst = (
@@ -552,8 +573,6 @@ class AuditSettings:
     tol_factor: float = 5.0
     floor_factor: float = 20.0
     channel: int = 0
-    jobs: int = 1
-    keep_fields: bool = False
     norot_bump_radius: float = 0.5
     mollifier_steps: int = 2
     mollifier_sigma0: Optional[float] = None  # default: 8 x finest spacing
@@ -635,32 +654,35 @@ def full_paper_audit(
     kf = K - 1
     k_norot = min(1, kf)
     levels = sorted({0, k_norot, kf})
+    audited = sorted({0, kf})  # alignment runs at the coarsest and finest spacings
 
     models = {}
     for k in levels:
         models[k] = model if k == 0 else refine_model(model, 2 ** k)
-    corpora = {k: tuple(refine(f, 2 ** k) for f in corpus) if k else corpus for k in (0, kf)}
-    ops = {k: model_channel_operator(models[k], channel=settings.channel) for k in (0, kf)}
-    baselines = {k: tuple(ops[k](f) for f in corpora[k]) for k in (0, kf)}
-    scales = {
-        k: max(max(b.sup_norm() for b in baselines[k]), 1e-300) for k in (0, kf)
-    }
+    corpora = {k: tuple(refine(f, 2 ** k) for f in corpus) if k else corpus for k in audited}
+    ops = {k: model_channel_operator(models[k], channel=settings.channel) for k in audited}
+    baselines = {k: tuple(ops[k](f) for f in corpora[k]) for k in audited}
+    c0 = baselines[kf][0].values.flat[0]
+    if all(np.all(b.values == c0) for b in baselines[kf]):
+        raise ConstantFeatureError(
+            f"channel {settings.channel} is the constant {float(c0)!r} on every "
+            f"corpus entry at spacing {spacings[kf]}; a constant feature detects "
+            f"nothing, so there is no alignment to audit"
+        )
     hf = spacings[kf]
-    scale = scales[kf]
+    scale = max(max(b.sup_norm() for b in baselines[kf]), 1e-300)
     tol_fine = tolerance(hf, scale, settings.tol_factor)
     floor = settings.floor_factor * tol_fine
 
     parsed = [(spec, parse_transform(spec)) for spec in transforms]
+    fine_kernels = [
+        lam for layer in models[kf].layers for row in layer.kernels for lam in row
+    ]
 
-    def all_kernels(m: CnnModel):
-        for layer in m.layers:
-            for row in layer.kernels:
-                for k in row:
-                    yield k
-
-    def audit_one(spec: str, T: LinearMap2):
-        checks = []
-        arts = {}
+    checks: List[dict] = []
+    artifacts: Dict[str, Grid] = {}
+    expectations = []
+    for spec, T in parsed:
         cls = classify(T)
         admits = alignment_admits_invariance(T)
         checks.append(
@@ -683,9 +705,7 @@ def full_paper_audit(
             )
         )
 
-        fp_residuals = [
-            filter_fixed_point_residual(k, T) for k in all_kernels(models[kf])
-        ]
+        fp_residuals = [filter_fixed_point_residual(k, T) for k in fine_kernels]
         fp_tol = settings.tol_factor * hf  # residuals are already relative
         fp_pass = max(fp_residuals) <= fp_tol
         checks.append(
@@ -698,39 +718,24 @@ def full_paper_audit(
             )
         )
 
-        # alignment at the coarsest and finest spacings, T_g = T^-1
+        # alignment (T_g = T^-1) and generator invariance share one forward
+        # pass per corpus entry and level; the realigned response of the worst
+        # finest-level entry is kept for the artifacts
         Tg = T.inverse()
         res = {}
-        gen_worst = None
-        argmax_idx = 0
-        for k in (0, kf):
-            worst = 0.0
-            for i, f in enumerate(corpora[k]):
+        mus = []
+        argmax_idx, argmax_lhs = 0, None
+        for k in audited:
+            res[k] = 0.0
+            r_op = ops[k].declared_receptive_radius or 0.0
+            for i, (f, base) in enumerate(zip(corpora[k], baselines[k])):
                 warped_out = ops[k](resample_affine(f, T))
-                lhs = resample_affine(warped_out, Tg)
-                mask = interior_mask(
-                    f.geometry, (ops[k].declared_receptive_radius or 0.0) + f.spacing, warp=Tg
-                )
-                r = _masked_sup(lhs.values, baselines[k][i].values, mask)
-                if r > worst:
-                    worst = r
-                    if k == kf:
-                        argmax_idx = i
+                r, lhs = _realigned_residual(warped_out, base, Tg, r_op)
                 if k == kf:
-                    delta = abs(warped_out.origin_value - baselines[k][i].origin_value)
-                    if gen_worst is None or delta > gen_worst[0]:
-                        gen_worst = (
-                            delta,
-                            GeneratorRecord(
-                                f"corpus[{i}]",
-                                delta,
-                                {
-                                    "mu_plain": baselines[k][i].origin_value,
-                                    "mu_warped": warped_out.origin_value,
-                                },
-                            ),
-                        )
-            res[k] = worst
+                    if r > res[k] or i == 0:
+                        argmax_idx, argmax_lhs = i, lhs
+                    mus.append((base.origin_value, warped_out.origin_value))
+                res[k] = max(res[k], r)
         aligned = res[kf] <= tol_fine
         ratio = res[kf] / res[0] if res[0] > 0 else math.inf
         floor_confirmed = (not aligned) and (res[kf] >= floor or ratio >= 0.6)
@@ -748,12 +753,10 @@ def full_paper_audit(
             spacing=hf,
             verdict="aligned_within_tol" if aligned else "misaligned(floor)",
         )
+        curve_h = tuple(spacings[k] for k in audited)
+        curve_r = tuple(res[k] for k in audited)
         curve = ResidualCurve(
-            (spacings[0], hf),
-            (res[0], res[kf]),
-            fit_rate((spacings[0], hf), (res[0], res[kf]), 1e-12 * scale),
-            scale,
-            1e-12 * scale,
+            curve_h, curve_r, fit_rate(curve_h, curve_r, 1e-12 * scale), scale, 1e-12 * scale
         )
         checks.append(
             _check(
@@ -771,15 +774,12 @@ def full_paper_audit(
                 curve,
             )
         )
-        if settings.keep_fields:
-            f = corpora[kf][argmax_idx]
-            lhs = resample_affine(ops[kf](resample_affine(f, T)), Tg)
-            rhs = baselines[kf][argmax_idx]
-            arts[f"alignment[{spec}].lhs"] = lhs
-            arts[f"alignment[{spec}].rhs"] = rhs
-            arts[f"alignment[{spec}].diff"] = Grid(
-                lhs.geometry, lhs.values - rhs.values
-            )
+        rhs = baselines[kf][argmax_idx]
+        artifacts[f"alignment[{spec}].lhs"] = argmax_lhs
+        artifacts[f"alignment[{spec}].rhs"] = rhs
+        artifacts[f"alignment[{spec}].diff"] = Grid(
+            argmax_lhs.geometry, argmax_lhs.values - rhs.values
+        )
 
         # naturality of a first-layer kernel on an off-center bump
         nat_f = corpus[min(1, len(corpus) - 1)]
@@ -851,8 +851,8 @@ def full_paper_audit(
                 )
             )
 
-        # generator invariance, folded from the alignment loop
-        gen_res, gen_rec = gen_worst
+        # generator invariance on the finest-level pass of the alignment loop
+        gen_res, gen_rec = _worst_generator_delta(mus)
         checks.append(
             _check(
                 f"generator-invariance[{spec}]",
@@ -910,36 +910,18 @@ def full_paper_audit(
                 )
 
         expected_aligned = admits.startswith("yes") and fp_pass
-        observed_aligned = aligned
-        ok = expected_aligned == observed_aligned and (
-            observed_aligned or floor_confirmed
+        expectations.append(
+            {
+                "transform": spec,
+                "kind": cls.kind,
+                "admits_alignment": admits,
+                "filters_fixed": fp_pass,
+                "expected": "aligned" if expected_aligned else "misaligned",
+                "observed": "aligned" if aligned else "misaligned",
+                "floor_confirmed": floor_confirmed,
+                "consistent": expected_aligned == aligned and (aligned or floor_confirmed),
+            }
         )
-        expectation = {
-            "transform": spec,
-            "kind": cls.kind,
-            "admits_alignment": admits,
-            "filters_fixed": fp_pass,
-            "expected": "aligned" if expected_aligned else "misaligned",
-            "observed": "aligned" if observed_aligned else "misaligned",
-            "floor_confirmed": floor_confirmed,
-            "consistent": ok,
-        }
-        return checks, arts, expectation
-
-    results = []
-    if settings.jobs > 1 and len(parsed) > 1:
-        with ThreadPoolExecutor(max_workers=settings.jobs) as pool:
-            results = list(pool.map(lambda st: audit_one(*st), parsed))
-    else:
-        results = [audit_one(spec, T) for spec, T in parsed]
-
-    checks: List[dict] = []
-    artifacts: Dict[str, Grid] = {}
-    expectations = []
-    for ch, arts, exp in results:
-        checks.extend(ch)
-        artifacts.update(arts)
-        expectations.append(exp)
 
     # global mollifier recovery on a first-layer kernel at the finest spacing;
     # an empty transform list requests nothing, so the bundle stays empty

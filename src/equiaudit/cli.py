@@ -65,6 +65,12 @@ DEFAULT_CONFIG = {
 }
 
 
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class RunConfig:
     extent: float
@@ -82,7 +88,7 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         geo = dict(DEFAULT_CONFIG["geometry"])
-        geo.update(raw.get("geometry", {}))
+        geo.update(_json_object(raw.get("geometry", {}), "geometry"))
         bad = set(geo) - set(DEFAULT_CONFIG["geometry"])
         if bad:
             raise ValueError(f"unknown geometry keys: {sorted(bad)}")
@@ -98,7 +104,7 @@ class RunConfig:
         if not isinstance(model, (str, dict)):
             raise ValueError("model must be a file path or a synthesis recipe")
         corpus = dict(DEFAULT_CONFIG["corpus"])
-        corpus.update(raw.get("corpus", {}))
+        corpus.update(_json_object(raw.get("corpus", {}), "corpus"))
         return cls(
             extent=float(geo["extent"]),
             spacing=float(geo["spacing"]),
@@ -133,9 +139,8 @@ def _effective_config(args) -> RunConfig:
     raw = {}
     if args.config:
         raw = json.loads(Path(args.config).read_text())
-        if not isinstance(raw, dict):
-            raise ValueError("config file must hold a JSON object")
-    raw.setdefault("geometry", {})
+        _json_object(raw, "config file")
+    raw["geometry"] = dict(_json_object(raw.get("geometry", {}), "geometry"))
     if args.extent is not None:
         raw["geometry"]["extent"] = args.extent
     if args.spacing is not None:
@@ -148,10 +153,11 @@ def _effective_config(args) -> RunConfig:
         raw["model"] = args.model_file
     if args.out is not None:
         raw["out"] = args.out
+    # precedence: --seed, then EQUIAUDIT_SEED, then the config file
+    env_seed = os.environ.get("EQUIAUDIT_SEED")
     if args.seed is not None:
         raw["seed"] = args.seed
-    env_seed = os.environ.get("EQUIAUDIT_SEED")
-    if env_seed is not None:
+    elif env_seed is not None:
         raw["seed"] = int(env_seed)
     return RunConfig.from_dict(raw)
 
@@ -189,12 +195,7 @@ def cmd_audit(args) -> int:
         corpus = make_corpus(
             geom, seed=config.seed, include_glyphs=bool(config.corpus.get("glyphs", True))
         )
-        settings = AuditSettings(
-            refinements=config.refinements,
-            seed=config.seed,
-            jobs=max(1, args.jobs),
-            keep_fields=True,
-        )
+        settings = AuditSettings(refinements=config.refinements, seed=config.seed)
         result = full_paper_audit(model, config.transforms, corpus, settings)
     except (ValueError, EquiauditError, OSError, json.JSONDecodeError) as e:
         print(f"equiaudit: config error: {e}", file=sys.stderr)
@@ -333,7 +334,11 @@ def cmd_demo(args) -> int:
     spacing = args.spacing if args.spacing is not None else 0.01
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    summary = fn(out_dir, spacing)
+    try:
+        summary = fn(out_dir, spacing)
+    except (ValueError, EquiauditError) as e:
+        print(f"equiaudit: {e}", file=sys.stderr)
+        return 1
     print(summary)
     (out_dir / "summary.txt").write_text(summary + "\n")
     return 0
@@ -358,7 +363,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     pa.add_argument("--model-file", help="load the model from this JSON file")
     pa.add_argument("--out", help="output directory override")
     pa.add_argument("--seed", type=int, help="seed override")
-    pa.add_argument("--jobs", type=int, default=1, help="parallel transform workers")
     pa.add_argument(
         "--deterministic",
         action="store_true",

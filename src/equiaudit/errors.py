@@ -25,6 +25,10 @@ class NoCounterexampleError(EquiauditError):
     """The requested counterexample does not exist (e.g. identity map)."""
 
 
+class ConstantFeatureError(EquiauditError):
+    """The audited feature channel is one constant field on the whole corpus."""
+
+
 class FormatError(EquiauditError):
     """A file does not parse as the format it claims to be."""
 

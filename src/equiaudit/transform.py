@@ -178,7 +178,7 @@ def _eigvec_for(T: LinearMap2, lam: complex) -> np.ndarray:
         v = np.array([-r1[1], r1[0]])
     else:
         v = np.array([-r2[1], r2[0]])
-    nrm = math.sqrt(abs(v[0]) ** 2 + abs(v[1]) ** 2)
+    nrm = math.hypot(abs(v[0]), abs(v[1]))  # no squares, so no overflow
     if nrm == 0.0:
         return np.array([1.0, 0.0])
     return v / nrm
@@ -258,8 +258,13 @@ def classify(T: LinearMap2, tol: float = 1e-9, n_max: int = 360) -> TransformCla
             "elliptic_finite_order", order=order, canonical_angle=angle, conjugator=conj
         )
     if disc > band:
-        lp = (tr + math.sqrt(disc)) / 2.0
-        lm = (tr - math.sqrt(disc)) / 2.0
+        # disc/4 = q^2 - s^2 factored, so neither it nor the roots overflow
+        # when the trace is huge; the small root follows from the product dt
+        q = tr / 2.0
+        s = math.sqrt(dt)
+        root = math.sqrt(max(abs(q) - s, 0.0)) * math.sqrt(abs(q) + s)
+        big = q + math.copysign(root, q)
+        lp, lm = (big, dt / big) if q > 0.0 else (dt / big, big)
         vp = _eigvec_for(T, lp).real
         vm = _eigvec_for(T, lm).real
         basis = LinearMap2(vp[0], vm[0], vp[1], vm[1])

@@ -5,12 +5,16 @@ import pytest
 
 from equiaudit import (
     AuditSettings,
+    CnnModel,
+    ConstantFeatureError,
+    ConvLayer,
     DomainFitError,
     Filter,
     GeometryMismatchError,
     Grid,
     GridGeometry,
     NoCounterexampleError,
+    Nonlinearity,
     ResolutionWarning,
     alignment_residual,
     build_model,
@@ -32,6 +36,8 @@ from equiaudit import (
     norot_counterexample,
     radial_filter,
     random_blob_filter,
+    refine,
+    refine_model,
     render,
     resample_affine,
     ring_filter,
@@ -385,3 +391,59 @@ def test_full_paper_audit_flags_asymmetric_model_as_inconsistent():
     # admits says yes but the filters fail the fixed-point gate, so the
     # expected outcome is exactly this misalignment: still consistent
     assert report["consistent"] is True
+
+
+def _small_audit_model(nonlinearity="identity"):
+    return build_model(
+        {"layers": 1, "channels": 1, "kernel_radius": 0.2,
+         "nonlinearity": nonlinearity, "symmetrization": "radial"},
+        spacing=0.05,
+        rng=np.random.default_rng(0),
+    )
+
+
+def test_full_paper_audit_matches_public_checks():
+    # the audit's finest-level alignment and generator residuals are the
+    # public checks run on the refined model and corpus, bit for bit
+    g = GridGeometry(1.2, 0.05)
+    corpus = make_corpus(g, seed=0)
+    model = _small_audit_model()
+    specs = ["rot:30", "shear:1"]
+    report = full_paper_audit(model, specs, corpus, AuditSettings(refinements=2)).report
+    checks = {c["name"]: c for c in report["checks"]}
+    op = model_channel_operator(refine_model(model, 2), channel=0)
+    fine = [refine(f, 2) for f in corpus]
+    for spec in specs:
+        T = parse_transform(spec)
+        align = max(alignment_residual(op, T, T.inverse(), f) for f in fine)
+        assert checks[f"alignment[{spec}]"]["residual"] == align, spec
+        gen, rec = generator_invariance_residual(op, T, fine)
+        assert checks[f"generator-invariance[{spec}]"]["residual"] == gen, spec
+        assert checks[f"generator-invariance[{spec}]"]["params"]["argmax"] == rec.descriptor
+
+
+def test_full_paper_audit_constant_channel_raises():
+    g = GridGeometry(1.2, 0.05)
+    corpus = make_corpus(g, seed=0)
+    lam = gaussian_filter(0.06, GridGeometry(0.2, 0.05))
+    model = CnnModel((ConvLayer(((lam,),), (-1e3,), Nonlinearity("relu")),))
+    with pytest.raises(ConstantFeatureError, match="channel 0"):
+        full_paper_audit(model, ["shear:1"], corpus, AuditSettings(refinements=2))
+
+
+@pytest.mark.filterwarnings("error")
+def test_single_refinement_gives_a_one_point_alignment_curve():
+    # one spacing carries no rate information: no rank-deficient fit
+    assert fit_rate([0.05, 0.05], [1e-3, 2e-3], floor=1e-12) == math.inf
+    g = GridGeometry(1.2, 0.05)
+    corpus = make_corpus(g, seed=0)
+    out = full_paper_audit(
+        _small_audit_model(), ["rot:90", "shear:1"], corpus, AuditSettings(refinements=1)
+    )
+    assert out.report["spacings"] == [0.05]
+    for spec in ("rot:90", "shear:1"):
+        check = next(c for c in out.report["checks"] if c["name"] == f"alignment[{spec}]")
+        curve = check["spacing_curve"]
+        assert curve["spacings"] == [0.05]
+        assert curve["residuals"] == [check["residual"]]
+        assert curve["fitted_rate"] == "inf"

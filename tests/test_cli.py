@@ -5,6 +5,14 @@ import sys
 
 import pytest
 
+from equiaudit import (
+    CnnModel,
+    ConvLayer,
+    GridGeometry,
+    Nonlinearity,
+    gaussian_filter,
+    save_model,
+)
 from equiaudit.cli import main
 
 SMALL_CONFIG = {
@@ -101,6 +109,16 @@ def test_demo_unknown_name(tmp_path, capsys):
     assert "unknown demo" in capsys.readouterr().err
 
 
+def test_demo_bad_spacing_exits_1(tmp_path, capsys):
+    out = tmp_path / "fov"
+    assert main(["demo", "scale-fov", "--out", str(out), "--spacing", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("equiaudit:")
+    assert "spacing" in captured.err
+    assert captured.out == ""
+    assert not (out / "summary.txt").exists()
+
+
 def test_audit_small_config_passes_and_writes_report(tmp_path, capsys):
     cfg_path, cfg = _write_config(tmp_path)
     assert main(["audit", "--config", str(cfg_path), "--deterministic"]) == 0
@@ -168,6 +186,31 @@ def test_audit_seed_env_override(tmp_path, capsys, monkeypatch):
     assert report["config"]["seed"] == 7
 
 
+def test_audit_seed_flag_beats_env(tmp_path, capsys, monkeypatch):
+    cfg_path, _ = _write_config(tmp_path)
+    monkeypatch.setenv("EQUIAUDIT_SEED", "7")
+    argv = ["audit", "--config", str(cfg_path), "--deterministic", "--seed", "3"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["seed"] == 3
+    assert report["config"]["seed"] == 3
+
+
+def test_audit_constant_channel_is_a_config_error(tmp_path, capsys):
+    # relu of a hugely negative bias: channel 0 is 0.0 on every corpus entry
+    lam = gaussian_filter(0.06, GridGeometry(0.2, 0.05))
+    model = CnnModel((ConvLayer(((lam,),), (-1e3,), Nonlinearity("relu")),))
+    model_path = tmp_path / "model.json"
+    save_model(model, model_path)
+    cfg_path, _ = _write_config(tmp_path, model=str(model_path))
+    assert main(["audit", "--config", str(cfg_path), "--deterministic"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("equiaudit: config error:")
+    assert "channel 0" in err and "constant" in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_audit_flag_overrides_config(tmp_path, capsys):
     cfg_path, _ = _write_config(tmp_path)
     out2 = tmp_path / "elsewhere"
@@ -199,6 +242,8 @@ def test_audit_config_errors_exit_1(tmp_path, capsys):
         {"transforms": ["spin:90"]},
         {"geometry": {"extent": 1.2, "spacing": 0.05, "refinements": 0}},
         {"model": str(tmp_path / "missing_model.json")},
+        {"geometry": [1]},
+        {"corpus": 5},
     ):
         cfg_path, _ = _write_config(tmp_path, **overrides)
         assert main(["audit", "--config", str(cfg_path)]) == 1, overrides

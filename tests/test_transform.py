@@ -110,6 +110,19 @@ def test_classify_hyperbolic_and_unit_det_mix():
     assert classify(LinearMap2(-1.0, -1.0, 0.0, -1.0)).kind == "parabolic"
 
 
+def test_classify_hyperbolic_with_huge_trace():
+    # tr^2 overflows to inf; the eigenvalues and eigenvectors must not
+    c = classify(parse_transform("mat:1e200,0,0,1e-200"))
+    assert c.kind == "hyperbolic"
+    assert c.conjugator is not None
+    assert c.conjugator.max_entry_distance(LinearMap2.identity()) == 0.0
+    # a moderate trace keeps its eigenbasis: large eigenvalue first
+    basis = classify(parse_transform("mat:2,1,1,1")).conjugator.inverse().matrix
+    M = np.array([[2.0, 1.0], [1.0, 1.0]])
+    for col, lam in ((0, (3.0 + math.sqrt(5.0)) / 2.0), (1, (3.0 - math.sqrt(5.0)) / 2.0)):
+        assert np.allclose(M @ basis[:, col], lam * basis[:, col], rtol=0.0, atol=1e-12)
+
+
 def test_classify_is_conjugacy_invariant():
     rng = np.random.default_rng(13)
     reps = {
