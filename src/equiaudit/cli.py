@@ -71,6 +71,13 @@ def _json_object(value, what: str) -> dict:
     return value
 
 
+def _json_number(convert, value, what: str):
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a number, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class RunConfig:
     extent: float
@@ -92,7 +99,7 @@ class RunConfig:
         bad = set(geo) - set(DEFAULT_CONFIG["geometry"])
         if bad:
             raise ValueError(f"unknown geometry keys: {sorted(bad)}")
-        refinements = int(geo["refinements"])
+        refinements = _json_number(int, geo["refinements"], "geometry.refinements")
         if refinements < 1:
             raise ValueError("geometry.refinements must be >= 1")
         transforms = raw.get("transforms", DEFAULT_CONFIG["transforms"])
@@ -106,14 +113,14 @@ class RunConfig:
         corpus = dict(DEFAULT_CONFIG["corpus"])
         corpus.update(_json_object(raw.get("corpus", {}), "corpus"))
         return cls(
-            extent=float(geo["extent"]),
-            spacing=float(geo["spacing"]),
+            extent=_json_number(float, geo["extent"], "geometry.extent"),
+            spacing=_json_number(float, geo["spacing"], "geometry.spacing"),
             refinements=refinements,
             transforms=tuple(str(s) for s in transforms),
             model=model,
             corpus=corpus,
             out=str(raw.get("out", DEFAULT_CONFIG["out"])),
-            seed=int(raw.get("seed", DEFAULT_CONFIG["seed"])),
+            seed=_json_number(int, raw.get("seed", DEFAULT_CONFIG["seed"]), "seed"),
         )
 
     def echo(self) -> dict:

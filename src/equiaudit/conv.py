@@ -12,6 +12,13 @@ kernel taps are visited in row-major order (ascending row, then ascending
 column), each adding its weighted shifted copy of the input to the
 accumulator. Zero taps are skipped, so zero-padding a kernel (as
 transform_filter and embed_filter do) leaves every output bit unchanged.
+
+The work is bounded by the input's support, not the domain: the taps are
+added only over the input's nonzero bounding box dilated by the kernel
+half-width, and every output sample beyond that box is exactly +0.0. The
+skipped additions would only have added w * (+-0.0) to an accumulator that
+starts at +0.0, which never changes a value, so the result is the same bit
+for bit as summing over the whole domain.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from .grid import (
     FeatureStack,
     Grid,
     GridGeometry,
+    _nonzero_box,
     embed,
     refine,
     render,
@@ -118,6 +126,11 @@ def convolve(f: Grid, lam: Filter) -> Grid:
     of f, and the sum is scaled by h^2 last, so the result is invariant to
     zero-padding of the kernel grid, and kernels wider than the image take
     the same path.
+
+    Work scales with f's support, not the domain: the sum runs over f's
+    nonzero bounding box dilated by the kernel half-width (clipped to the
+    domain), and outputs beyond it are exactly +0.0. An all-zero f costs no
+    tap at all.
     """
     kg = lam.grid
     if not np.isclose(f.spacing, kg.spacing, rtol=1e-12, atol=0.0):
@@ -131,19 +144,31 @@ def convolve(f: Grid, lam: Filter) -> Grid:
         )
     h = f.spacing
     n = f.geometry.size
-    c = kg.geometry.half_count
-    padded = np.pad(f.values, c)
     out = np.zeros((n, n), dtype=np.float64)
-    term = np.empty_like(out)
+    box = _nonzero_box(f.values)
+    if box is None:
+        return Grid(f.geometry, out)
+    c = kg.geometry.half_count
+    r0, r1, c0, c1 = box
+    # accumulate over output rows [a, b) and columns [e, g): the box dilated
+    # by the kernel half-width and clipped to the domain; src is the zero-
+    # padded input window those rows and columns read
+    a, b = max(0, r0 - c), min(n, r1 + c)
+    e, g = max(0, c0 - c), min(n, c1 + c)
+    src = np.zeros((b - a + 2 * c, g - e + 2 * c), dtype=np.float64)
+    src[r0 - a + c : r1 - a + c, c0 - e + c : c1 - e + c] = f.values[r0:r1, c0:c1]
+    acc = np.zeros((b - a, g - e), dtype=np.float64)
+    term = np.empty_like(acc)
     kv = kg.values
-    # tap (p, q) sits at offset (c - p, c - q) from the kernel center, so it
-    # reads f[i + c - p, j + c - q] = padded[i + 2c - p, j + 2c - q]
+    # tap (p, q) sits at offset (c - p, c - q) from the kernel center, so
+    # acc[i, j] reads f[a + i + c - p, e + j + c - q] = src[i + 2c - p, j + 2c - q]
     for p, q in zip(*np.nonzero(kv)):
-        r0 = 2 * c - p
-        c0 = 2 * c - q
-        np.multiply(kv[p, q], padded[r0 : r0 + n, c0 : c0 + n], out=term)
-        out += term
-    return Grid(f.geometry, out * (h * h))
+        s0 = 2 * c - p
+        t0 = 2 * c - q
+        np.multiply(kv[p, q], src[s0 : s0 + b - a, t0 : t0 + g - e], out=term)
+        acc += term
+    out[a:b, e:g] = acc * (h * h)
+    return Grid(f.geometry, out)
 
 
 @dataclass(frozen=True)
@@ -295,20 +320,36 @@ def _as_stack(x: Union[Grid, FeatureStack, Sequence[Grid]]) -> FeatureStack:
 
 def layer_forward(stack: Union[Grid, FeatureStack], layer: ConvLayer) -> FeatureStack:
     stack = _as_stack(stack)
+    pre = [_pre_activation(stack, layer, c) for c in range(layer.out_channels)]
+    post = layer.nonlinearity.apply(np.stack(pre, axis=0))
+    geom = stack.geometry
+    return FeatureStack(tuple(Grid(geom, post[c]) for c in range(layer.out_channels)))
+
+
+def _pre_activation(stack: FeatureStack, layer: ConvLayer, c: int) -> np.ndarray:
+    """sum_m x_m * k_{m,c} + b_c for output channel c, summed in ascending m."""
     if stack.channel_count != layer.in_channels:
         raise GeometryMismatchError(
             f"stack has {stack.channel_count} channels, layer expects {layer.in_channels}"
         )
-    pre = []
-    for c in range(layer.out_channels):
-        acc = None
-        for m in range(layer.in_channels):
-            g = convolve(stack.channels[m], layer.kernels[m][c])
-            acc = g.values if acc is None else acc + g.values
-        pre.append(acc + layer.biases[c])
-    post = layer.nonlinearity.apply(np.stack(pre, axis=0))
-    geom = stack.geometry
-    return FeatureStack(tuple(Grid(geom, post[c]) for c in range(layer.out_channels)))
+    acc = None
+    for m in range(layer.in_channels):
+        g = convolve(stack.channels[m], layer.kernels[m][c])
+        acc = g.values if acc is None else acc + g.values
+    return acc + layer.biases[c]
+
+
+def _channel_forward(stack: Union[Grid, FeatureStack], layer: ConvLayer, c: int) -> Grid:
+    """Output channel c of layer_forward(stack, layer), bit for bit.
+
+    A pointwise nonlinearity needs only channel c's pre-activation; softmax
+    mixes channels, so it evaluates the whole layer.
+    """
+    stack = _as_stack(stack)
+    if layer.nonlinearity.kind == "softmax":
+        return layer_forward(stack, layer).channels[c]
+    pre = _pre_activation(stack, layer, c)
+    return Grid(stack.geometry, layer.nonlinearity.apply(pre[None])[0])
 
 
 def model_forward_stages(

@@ -15,7 +15,14 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .conv import CnnModel, Filter, convolve, model_forward_stages, receptive_radius
+from .conv import (
+    CnnModel,
+    Filter,
+    _channel_forward,
+    convolve,
+    layer_forward,
+    receptive_radius,
+)
 from .errors import DomainFitError, TransformClassError
 from .grid import (
     Grid,
@@ -94,7 +101,12 @@ def convolution_operator(lam: Filter) -> OperatorHandle:
 def model_channel_operator(
     model: CnnModel, depth: Optional[int] = None, channel: int = 0
 ) -> OperatorHandle:
-    """One output channel of the model truncated at ``depth`` layers."""
+    """One output channel of the model truncated at ``depth`` layers.
+
+    Only that channel of the last computed layer is evaluated (the whole
+    layer for softmax, which mixes channels); the result equals
+    ``model_forward_stages(f, model)[depth].channels[channel]`` bit for bit.
+    """
     L = model.depth
     depth = L if depth is None else int(depth)
     if not 0 <= depth <= L:
@@ -102,12 +114,15 @@ def model_channel_operator(
     radius = receptive_radius(model, depth)
 
     def fn(f: Grid) -> Grid:
-        stack = model_forward_stages(f, model)[depth]
-        if not 0 <= channel < stack.channel_count:
-            raise ValueError(
-                f"channel {channel} outside [0, {stack.channel_count})"
-            )
-        return stack.channels[channel]
+        count = model.layers[depth - 1].out_channels if depth else 1
+        if not 0 <= channel < count:
+            raise ValueError(f"channel {channel} outside [0, {count})")
+        if depth == 0:
+            return f
+        stack = f
+        for layer in model.layers[: depth - 1]:
+            stack = layer_forward(stack, layer)
+        return _channel_forward(stack, model.layers[depth - 1], channel)
 
     return OperatorHandle(fn, radius, f"model[depth={depth},channel={channel}]")
 

@@ -70,6 +70,20 @@ def _snap_indices(t: np.ndarray) -> np.ndarray:
     return np.where(np.abs(t - r) <= _SNAP, r, t)
 
 
+def _nonzero_box(values: np.ndarray) -> Optional[Tuple[int, int, int, int]]:
+    """Half-open bounding box (r0, r1, c0, c1) of the nonzero samples, or None.
+
+    Samples equal to 0.0 (either sign) are outside the box, so every sample
+    outside it is +0.0 or -0.0.
+    """
+    nz = values != 0.0
+    rows = np.flatnonzero(nz.any(axis=1))
+    if rows.size == 0:
+        return None
+    cols = np.flatnonzero(nz.any(axis=0))
+    return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+
+
 @dataclass(frozen=True)
 class GridGeometry:
     """Lattice layout: half-width ``extent`` (snapped to the lattice) and step ``spacing``."""
@@ -309,6 +323,13 @@ def resample_affine(f: Grid, T, geometry: Optional[GridGeometry] = None) -> Grid
 
     The output keeps f's geometry unless another one is supplied. T = identity
     returns the samples unchanged, bit for bit.
+
+    Work scales with the input's support, not the domain: only output samples
+    inside the image under T of f's nonzero bounding box (grown by two
+    samples) are interpolated, and every other output sample is exactly +0.0,
+    which is what interpolating four zero reads gives. The interpolated
+    samples get the same arithmetic as on the full grid, so the result is the
+    same bit for bit.
     """
     inv = T.inverse()  # raises SingularMapError for singular T
     geom = f.geometry if geometry is None else geometry
@@ -328,10 +349,41 @@ def resample_affine(f: Grid, T, geometry: Optional[GridGeometry] = None) -> Grid
         and T.d == 1.0
     ):
         return Grid(f.geometry, f.values, source=f.source)
-    X, Y = geom.coords()
-    sx = inv.a * X + inv.b * Y
-    sy = inv.c * X + inv.d * Y
-    return Grid(geom, f.sample_at(sx, sy), source=src)
+    box = _nonzero_box(f.values)
+    a, b, c, d = (0, 0, 0, 0) if box is None else _warped_box(box, f.geometry, T, geom)
+    ax = geom.axis()
+    X, Y = np.meshgrid(ax[c:d], ax[::-1][a:b])
+    out = np.zeros((geom.size, geom.size), dtype=np.float64)
+    out[a:b, c:d] = f.sample_at(inv.a * X + inv.b * Y, inv.c * X + inv.d * Y)
+    return Grid(geom, out, source=src)
+
+
+def _warped_box(
+    box: Tuple[int, int, int, int], source: GridGeometry, T, target: GridGeometry
+) -> Tuple[int, int, int, int]:
+    """Half-open (row, column) index box of ``target`` holding T applied to
+    the source index ``box`` grown by two samples, clipped to ``target``.
+
+    A bilinear read at a point whose floored index lies outside the box one
+    sample wider touches only zero samples; the second sample and the
+    one-sample rounding of the output box absorb rounding in T and T^-1.
+    """
+    r0, r1, c0, c1 = box
+    h, m = source.spacing, source.half_count
+    xs = ((c0 - 2 - m) * h, (c1 + 1 - m) * h)
+    ys = ((m - r1 - 1) * h, (m - r0 + 2) * h)
+    px = [T.a * x + T.b * y for x in xs for y in ys]
+    py = [T.c * x + T.d * y for x in xs for y in ys]
+    ht, mt, nt = target.spacing, target.half_count, target.size
+    rows = (mt - max(py) / ht, mt - min(py) / ht)
+    cols = (min(px) / ht + mt, max(px) / ht + mt)
+    bounds = (
+        np.floor(rows[0]) - 1,
+        np.ceil(rows[1]) + 2,
+        np.floor(cols[0]) - 1,
+        np.ceil(cols[1]) + 2,
+    )
+    return tuple(int(v) for v in np.clip(bounds, 0, nt))
 
 
 def distance(f: Grid, g: Grid, norm: str = "sup") -> float:

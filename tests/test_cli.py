@@ -244,6 +244,8 @@ def test_audit_config_errors_exit_1(tmp_path, capsys):
         {"model": str(tmp_path / "missing_model.json")},
         {"geometry": [1]},
         {"corpus": 5},
+        {"seed": [1]},
+        {"geometry": {"extent": [1]}},
     ):
         cfg_path, _ = _write_config(tmp_path, **overrides)
         assert main(["audit", "--config", str(cfg_path)]) == 1, overrides

@@ -26,6 +26,7 @@ from equiaudit import (
     make_bump,
     model_channel_operator,
     model_forward,
+    model_forward_stages,
     operator_from_generator,
     render,
     resample_affine,
@@ -78,6 +79,29 @@ def test_model_channel_operator_depths():
     np.testing.assert_array_equal(ident(f).values, f.values)
     with pytest.raises(ValueError):
         model_channel_operator(model, depth=3)
+
+
+@pytest.mark.parametrize(
+    "nonlinearity", ["identity", "relu", "lipschitz_sigmoid(2)", "softmax"]
+)
+def test_model_channel_operator_matches_the_full_stage(nonlinearity):
+    # the operator evaluates one channel of its last layer (all of them under
+    # softmax); the result must equal that channel of the full forward pass
+    model = build_model(
+        {"layers": 2, "channels": 2, "kernel_radius": 0.15,
+         "nonlinearity": nonlinearity, "symmetrization": "none",
+         "bias_scale": 0.3},
+        spacing=0.05,
+        rng=np.random.default_rng(9),
+    )
+    f = make_bump((0.1, -0.05), 0.3, 1.0, GridGeometry(0.8, 0.05))
+    stages = model_forward_stages(f, model)
+    for depth in (1, 2):
+        for c in (0, 1):
+            got = model_channel_operator(model, depth=depth, channel=c)(f).values
+            assert np.array_equal(got, stages[depth].channels[c].values)
+    with pytest.raises(ValueError):
+        model_channel_operator(model, depth=1, channel=2)(f)
 
 
 def test_operator_from_generator_round_trip_is_exact_inside():

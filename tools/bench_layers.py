@@ -1,0 +1,233 @@
+"""Before/after timings of equiaudit's kernels, the stock audit and the test suite.
+
+Usage, from the root of a checkout:
+
+    python3 tools/bench_layers.py --checkout parent=/path/to/parent \\
+        --checkout change=. --out BENCH_5.json
+
+Each checkout is measured with its own ``src/`` on PYTHONPATH by the
+interpreter that runs this script. The layer timings and the audit are
+measured in ROUNDS rounds that alternate the order of the checkouts,
+so that a drift in the machine's speed shows as spread instead of as a
+difference between checkouts. Per checkout it records:
+
+- ``stock_audit_s``: wall time of ``python3 -m equiaudit audit --deterministic``
+  with the built-in default config, interpreter start-up included: the median
+  over rounds, and each round's value;
+- ``suite_s``: wall time of one tier-1 pytest run in the checkout, and its
+  summary line;
+- ``convolve``, ``resample_affine`` and ``layer_forward``: per-call times,
+  each on a compact corpus bump and, for the kernels, on a dense random
+  field, which has no zero samples to skip. Each round gives the median over
+  repeated calls; the record holds the median over rounds and each round's
+  median;
+- the numpy and scipy versions.
+
+With ``--layers`` the script only
+prints one round of layer timings of the package on its own PYTHONPATH, as
+JSON; the full run calls itself that way.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+# (spacing, image side n, kernel side k) on the stock extent 1.6 and kernel
+# radius 0.24
+CONV_SIZES = ((0.04, 81, 13), (0.02, 161, 25), (0.01, 321, 49), (0.005, 641, 97))
+RESAMPLE_MAPS = ("shear:1", "rot:45")
+LAYER_CHANNELS = ((1, 1), (2, 2), (4, 4))
+ROUNDS = 3
+MIN_REPEATS = 3
+MAX_REPEATS = 25
+MIN_SECONDS = 1.0
+
+
+def _timed(fn) -> float:
+    """Median wall time of fn in ms, over at least MIN_REPEATS calls and
+    MIN_SECONDS, after one unmeasured call."""
+    fn()
+    times = []
+    start = time.perf_counter()
+    while len(times) < MAX_REPEATS and (
+        len(times) < MIN_REPEATS or time.perf_counter() - start < MIN_SECONDS
+    ):
+        t0 = time.perf_counter()
+        fn()
+        times.append((time.perf_counter() - t0) * 1e3)
+    return statistics.median(times)
+
+
+def layer_timings() -> dict:
+    import numpy as np
+    import scipy
+
+    from equiaudit import (
+        ConvLayer,
+        FeatureStack,
+        Grid,
+        GridGeometry,
+        Nonlinearity,
+        convolve,
+        layer_forward,
+        random_radial_filter,
+        resample_affine,
+    )
+    from equiaudit.audit import make_corpus
+    from equiaudit.transform import parse_transform
+
+    def inputs(h):
+        geom = GridGeometry(1.6, h)
+        bump = make_corpus(geom, seed=0)[1]
+        dense = Grid(geom, np.random.default_rng(0).standard_normal((geom.size, geom.size)))
+        return geom, bump, dense
+
+    def kernel(h, seed=0):
+        return random_radial_filter(GridGeometry(0.24, h), 0.24, np.random.default_rng(seed))
+
+    out = {"numpy": np.__version__, "scipy": scipy.__version__}
+    conv = {}
+    for h, n, k in CONV_SIZES:
+        geom, bump, dense = inputs(h)
+        lam = kernel(h)
+        assert (geom.size, lam.grid.geometry.size) == (n, k)
+        for name, f in (("bump", bump), ("dense", dense)):
+            conv[f"n{n}_k{k}_{name}"] = _timed(lambda: convolve(f, lam))
+    out["convolve"] = conv
+
+    geom, bump, dense = inputs(0.01)
+    res = {}
+    for spec in RESAMPLE_MAPS:
+        T = parse_transform(spec)
+        for name, f in (("bump", bump), ("dense", dense)):
+            res[f"n{geom.size}_{spec}_{name}"] = _timed(lambda: resample_affine(f, T))
+    out["resample_affine"] = res
+
+    corpus = make_corpus(geom, seed=0)
+    lay = {}
+    for c_in, c_out in LAYER_CHANNELS:
+        layer = ConvLayer(
+            tuple(tuple(kernel(0.01, 1 + m * c_out + c) for c in range(c_out)) for m in range(c_in)),
+            (0.0,) * c_out,
+            Nonlinearity("identity"),
+        )
+        stack = FeatureStack(corpus[1 : 1 + c_in])
+        lay[f"cin{c_in}_cout{c_out}_n{geom.size}_k49_bumps"] = _timed(
+            lambda: layer_forward(stack, layer)
+        )
+    out["layer_forward"] = lay
+    return out
+
+
+def _env(checkout: Path) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(checkout / "src")
+    env.pop("EQUIAUDIT_SEED", None)
+    return env
+
+
+def _round(checkout: Path) -> dict:
+    env = _env(checkout)
+    layers = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--layers"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        t0 = time.perf_counter()
+        subprocess.run(
+            [sys.executable, "-m", "equiaudit", "audit", "--deterministic", "--out", "out"],
+            cwd=tmp, env=env, capture_output=True, check=True,
+        )
+        audit_s = time.perf_counter() - t0
+    return {"layers": json.loads(layers.stdout), "stock_audit_s": audit_s}
+
+
+def _suite(checkout: Path) -> dict:
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"],
+        cwd=checkout, env=_env(checkout), capture_output=True, text=True,
+    )
+    lines = [l for l in proc.stdout.splitlines() if re.search(r"\d+ (passed|failed)", l)]
+    return {
+        "suite_s": time.perf_counter() - t0,
+        "suite_summary": lines[-1] if lines else proc.stdout[-200:],
+    }
+
+
+def _combine(rounds: list) -> dict:
+    """Median over rounds, with every round's value, of each timing."""
+    first = rounds[0]
+    out = {
+        "numpy": first["layers"]["numpy"],
+        "scipy": first["layers"]["scipy"],
+        "stock_audit_s": {
+            "median": statistics.median(r["stock_audit_s"] for r in rounds),
+            "rounds": [r["stock_audit_s"] for r in rounds],
+        },
+    }
+    for family in ("convolve", "resample_affine", "layer_forward"):
+        out[family] = {
+            key: {
+                "median_ms": statistics.median(r["layers"][family][key] for r in rounds),
+                "rounds_ms": [r["layers"][family][key] for r in rounds],
+            }
+            for key in first["layers"][family]
+        }
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--checkout", action="append", default=[], metavar="NAME=DIR")
+    parser.add_argument("--out", help="write the JSON here (default: stdout)")
+    parser.add_argument("--layers", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.layers:
+        print(json.dumps(layer_timings()))
+        return 0
+    if not args.checkout:
+        parser.error("give at least one --checkout NAME=DIR")
+    report = {
+        "environment": {
+            "nproc": os.cpu_count(),
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+        }
+    }
+    checkouts = []
+    for item in args.checkout:
+        name, _, path = item.partition("=")
+        checkout = Path(path).resolve()
+        if not (checkout / "src" / "equiaudit").is_dir():
+            parser.error(f"{checkout} has no src/equiaudit")
+        checkouts.append((name, checkout))
+    rounds = {name: [] for name, _ in checkouts}
+    for r in range(ROUNDS):
+        for name, checkout in checkouts if r % 2 == 0 else checkouts[::-1]:
+            print(f"round {r}: {name} ({checkout})", file=sys.stderr)
+            rounds[name].append(_round(checkout))
+    for name, checkout in checkouts:
+        report[name] = _combine(rounds[name])
+        report[name].update(_suite(checkout))
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    if args.out:
+        Path(args.out).write_text(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
