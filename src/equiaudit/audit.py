@@ -196,20 +196,19 @@ def alignment_residual(
             f"{r_op + h:.4g} exceeds extent {geom.extent}"
         )
     baseline = op(f) if baseline is None else baseline
-    return _realigned_residual(op(resample_affine(f, T_h)), baseline, T_g, r_op, norm)[0]
+    mask = interior_mask(geom, r_op + h, warp=T_g)
+    return _realigned_residual(op(resample_affine(f, T_h)), baseline, T_g, mask, norm)[0]
 
 
 def _realigned_residual(
-    warped_out: Grid, baseline: Grid, T_g: LinearMap2, r_op: float, norm: str = "sup"
+    warped_out: Grid, baseline: Grid, T_g: LinearMap2, mask: np.ndarray, norm: str = "sup"
 ) -> Tuple[float, Grid]:
     """Core of the alignment law on an already computed response to the warped
-    input: realign it by T_g and compare it with the baseline over the interior
-    trusted after reads of radius r_op + h. Returns the residual and the
-    realigned response."""
+    input: realign it by T_g and compare it with the baseline over ``mask``,
+    the interior trusted after the operator's reads and the T_g warp (see
+    interior_mask). Returns the residual and the realigned response."""
     lhs = resample_affine(warped_out, T_g)
-    geom = baseline.geometry
-    h = geom.spacing
-    mask = interior_mask(geom, r_op + h, warp=T_g)
+    h = baseline.geometry.spacing
     if norm == "sup":
         return _masked_sup(lhs.values, baseline.values, mask), lhs
     if norm == "l1":
@@ -728,9 +727,11 @@ def full_paper_audit(
         for k in audited:
             res[k] = 0.0
             r_op = ops[k].declared_receptive_radius or 0.0
+            geom_k = baselines[k][0].geometry
+            mask = interior_mask(geom_k, r_op + geom_k.spacing, warp=Tg)
             for i, (f, base) in enumerate(zip(corpora[k], baselines[k])):
                 warped_out = ops[k](resample_affine(f, T))
-                r, lhs = _realigned_residual(warped_out, base, Tg, r_op)
+                r, lhs = _realigned_residual(warped_out, base, Tg, mask)
                 if k == kf:
                     if r > res[k] or i == 0:
                         argmax_idx, argmax_lhs = i, lhs

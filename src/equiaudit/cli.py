@@ -36,6 +36,7 @@ from .conv import (
     build_model,
     convolve,
     filter_from_grid,
+    json_integer,
     model_forward,
     radial_filter,
     receptive_radius,
@@ -74,7 +75,7 @@ def _json_object(value, what: str) -> dict:
 def _json_number(convert, value, what: str):
     try:
         return convert(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{what} must be a number, got {value!r}") from None
 
 
@@ -99,7 +100,7 @@ class RunConfig:
         bad = set(geo) - set(DEFAULT_CONFIG["geometry"])
         if bad:
             raise ValueError(f"unknown geometry keys: {sorted(bad)}")
-        refinements = _json_number(int, geo["refinements"], "geometry.refinements")
+        refinements = json_integer(geo["refinements"], "geometry.refinements")
         if refinements < 1:
             raise ValueError("geometry.refinements must be >= 1")
         transforms = raw.get("transforms", DEFAULT_CONFIG["transforms"])
@@ -112,6 +113,11 @@ class RunConfig:
             raise ValueError("model must be a file path or a synthesis recipe")
         corpus = dict(DEFAULT_CONFIG["corpus"])
         corpus.update(_json_object(raw.get("corpus", {}), "corpus"))
+        bad = set(corpus) - set(DEFAULT_CONFIG["corpus"])
+        if bad:
+            raise ValueError(f"unknown corpus keys: {sorted(bad)}")
+        if not isinstance(corpus["glyphs"], bool):
+            raise ValueError(f"corpus.glyphs must be true or false, got {corpus['glyphs']!r}")
         return cls(
             extent=_json_number(float, geo["extent"], "geometry.extent"),
             spacing=_json_number(float, geo["spacing"], "geometry.spacing"),
@@ -120,7 +126,7 @@ class RunConfig:
             model=model,
             corpus=corpus,
             out=str(raw.get("out", DEFAULT_CONFIG["out"])),
-            seed=_json_number(int, raw.get("seed", DEFAULT_CONFIG["seed"]), "seed"),
+            seed=json_integer(raw.get("seed", DEFAULT_CONFIG["seed"]), "seed"),
         )
 
     def echo(self) -> dict:
@@ -199,12 +205,10 @@ def cmd_audit(args) -> int:
             model = load_model(config.model)
         else:
             model = build_model(config.model, config.spacing, rng)
-        corpus = make_corpus(
-            geom, seed=config.seed, include_glyphs=bool(config.corpus.get("glyphs", True))
-        )
+        corpus = make_corpus(geom, seed=config.seed, include_glyphs=config.corpus["glyphs"])
         settings = AuditSettings(refinements=config.refinements, seed=config.seed)
         result = full_paper_audit(model, config.transforms, corpus, settings)
-    except (ValueError, EquiauditError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, EquiauditError, OSError, json.JSONDecodeError, MemoryError) as e:
         print(f"equiaudit: config error: {e}", file=sys.stderr)
         return 1
     report = dict(result.report)

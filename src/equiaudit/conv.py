@@ -13,12 +13,18 @@ column), each adding its weighted shifted copy of the input to the
 accumulator. Zero taps are skipped, so zero-padding a kernel (as
 transform_filter and embed_filter do) leaves every output bit unchanged.
 
-The work is bounded by the input's support, not the domain: the taps are
-added only over the input's nonzero bounding box dilated by the kernel
-half-width, and every output sample beyond that box is exactly +0.0. The
-skipped additions would only have added w * (+-0.0) to an accumulator that
-starts at +0.0, which never changes a value, so the result is the same bit
-for bit as summing over the whole domain.
+The work is bounded by the input's support, not the domain. The input's
+nonzero bounding box (hb x wb samples) is copied into a flat buffer whose
+row stride is the accumulator's width wb + 2c (c the kernel half-width), so
+every tap is one contiguous multiply and one contiguous add: nonzero taps x
+box rows x (wb + 2c) samples in all, in 1-D passes without strided
+iteration. The 2c-wide gap after each box row holds +0.0, so a tap adds
+w * (+-0.0) wherever its shifted copy of a gap lands, and box rows whose
+outputs fall outside the domain are skipped. An accumulator that starts at
++0.0 never becomes -0.0, and adding +-0.0 changes no other value, so each
+output sample gets the same nonzero products in the same tap order as a sum
+over the whole domain, bit for bit; every output beyond the dilated box is
+exactly +0.0.
 """
 
 from __future__ import annotations
@@ -122,15 +128,17 @@ def convolve(f: Grid, lam: Filter) -> Grid:
     """(f * lam)(x) = sum_y lam(y) f(x - y) h^2 with zero reads outside f's domain.
 
     Direct summation (no FFT); the output shares f's geometry. The nonzero
-    taps are added one at a time in row-major order onto a zero-padded copy
-    of f, and the sum is scaled by h^2 last, so the result is invariant to
-    zero-padding of the kernel grid, and kernels wider than the image take
-    the same path.
+    taps are added one at a time in row-major order, and the sum is scaled by
+    h^2 last, so the result is invariant to zero-padding of the kernel grid,
+    and kernels wider than the image take the same path.
 
-    Work scales with f's support, not the domain: the sum runs over f's
-    nonzero bounding box dilated by the kernel half-width (clipped to the
-    domain), and outputs beyond it are exactly +0.0. An all-zero f costs no
-    tap at all.
+    Work scales with f's support, not the domain: nonzero taps x box rows x
+    (box width + 2c), where the box is f's nonzero bounding box and c the
+    kernel half-width. The box is laid out with the accumulator's row stride
+    box width + 2c, so each tap is one contiguous multiply and one contiguous
+    add over it; the +0.0 gap columns only add +-0.0, which changes no value
+    of an accumulator that starts at +0.0. Outputs beyond the dilated box are
+    exactly +0.0, and an all-zero f costs no tap at all.
     """
     kg = lam.grid
     if not np.isclose(f.spacing, kg.spacing, rtol=1e-12, atol=0.0):
@@ -150,24 +158,37 @@ def convolve(f: Grid, lam: Filter) -> Grid:
         return Grid(f.geometry, out)
     c = kg.geometry.half_count
     r0, r1, c0, c1 = box
-    # accumulate over output rows [a, b) and columns [e, g): the box dilated
-    # by the kernel half-width and clipped to the domain; src is the zero-
-    # padded input window those rows and columns read
+    hb, wb = r1 - r0, c1 - c0
+    wa = wb + 2 * c
+    # the output rows [a, b) within the domain; the accumulator holds them at
+    # full dilated width, columns c0 - c .. c1 + c - 1, flat with row stride
+    # wa, and src holds the box with the same stride and +0.0 gap columns
     a, b = max(0, r0 - c), min(n, r1 + c)
-    e, g = max(0, c0 - c), min(n, c1 + c)
-    src = np.zeros((b - a + 2 * c, g - e + 2 * c), dtype=np.float64)
-    src[r0 - a + c : r1 - a + c, c0 - e + c : c1 - e + c] = f.values[r0:r1, c0:c1]
-    acc = np.zeros((b - a, g - e), dtype=np.float64)
-    term = np.empty_like(acc)
+    src = np.zeros(hb * wa, dtype=np.float64)
+    src.reshape(hb, wa)[:, :wb] = f.values[r0:r1, c0:c1]
+    acc = np.zeros((b - a) * wa, dtype=np.float64)
+    term = np.empty_like(src)
     kv = kg.values
-    # tap (p, q) sits at offset (c - p, c - q) from the kernel center, so
-    # acc[i, j] reads f[a + i + c - p, e + j + c - q] = src[i + 2c - p, j + 2c - q]
-    for p, q in zip(*np.nonzero(kv)):
-        s0 = 2 * c - p
-        t0 = 2 * c - q
-        np.multiply(kv[p, q], src[s0 : s0 + b - a, t0 : t0 + g - e], out=term)
-        acc += term
-    out[a:b, e:g] = acc * (h * h)
+    # tap (p, q) sits at offset (c - p, c - q) from the kernel center, so box
+    # sample (u, v) adds to output (r0 + u + p - c, c0 + v + q - c), which is
+    # acc[(u + d) * wa + v + q] with d = r0 + p - c - a. Only box rows u whose
+    # output row u + d is in the domain are added; they depend on p alone, so
+    # each kernel row fixes the run src[u0 * wa : u0 * wa + m] for its taps
+    for p in range(kv.shape[0]):
+        qs = np.flatnonzero(kv[p])
+        d = r0 + p - c - a
+        u0, u1 = max(0, -d), min(hb, b - a - d)
+        if not qs.size or u0 >= u1:
+            continue
+        m = (u1 - u0 - 1) * wa + wb
+        s = (u0 + d) * wa
+        run, t = src[u0 * wa : u0 * wa + m], term[:m]
+        for q, w in zip(qs.tolist(), kv[p, qs].tolist()):
+            dst = acc[s + q : s + q + m]
+            np.multiply(w, run, out=t)
+            np.add(dst, t, out=dst)
+    e, g = max(0, c0 - c), min(n, c1 + c)
+    out[a:b, e:g] = acc.reshape(b - a, wa)[:, e - c0 + c : g - c0 + c] * (h * h)
     return Grid(f.geometry, out)
 
 
@@ -191,6 +212,8 @@ class Nonlinearity:
 
     @classmethod
     def parse(cls, text: str) -> "Nonlinearity":
+        if not isinstance(text, str):
+            raise InvalidModelError(f"nonlinearity must be a string, got {text!r}")
         t = text.strip()
         if t in ("identity", "relu"):
             return cls(t)
@@ -686,6 +709,17 @@ def load_model(path) -> CnnModel:
 # model synthesis
 
 
+def json_integer(value, what: str) -> int:
+    """``value`` as an int; a bool, a fractional or an infinite float is a ValueError."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if isinstance(value, bool) or (isinstance(value, float) and value != n):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return n
+
+
 def build_model(recipe: dict, spacing: float, rng: np.random.Generator) -> CnnModel:
     """Synthesize a model from a recipe dict:
 
@@ -708,18 +742,18 @@ def build_model(recipe: dict, spacing: float, rng: np.random.Generator) -> CnnMo
     extra = set(recipe) - known
     if extra:
         raise ValueError(f"unknown model recipe keys: {sorted(extra)}")
+    L = json_integer(recipe.get("layers", 1), "model.layers")
+    C = json_integer(recipe.get("channels", 1), "model.channels")
+    n_fold = json_integer(recipe.get("n_fold", 4), "model.n_fold")
     try:
-        L = int(recipe.get("layers", 1))
-        C = int(recipe.get("channels", 1))
         radius = float(recipe.get("kernel_radius", 0.24))
-        n_fold = int(recipe.get("n_fold", 4))
         bias_scale = float(recipe.get("bias_scale", 0.0))
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ValueError(f"bad model recipe value: {e}") from None
     nl = Nonlinearity.parse(recipe.get("nonlinearity", "identity"))
     sym = recipe.get("symmetrization", "radial")
-    if L < 1 or C < 1:
-        raise ValueError("layers and channels must be >= 1")
+    if L < 1 or C < 1 or n_fold < 1:
+        raise ValueError("layers, channels and n_fold must be >= 1")
     if sym not in ("radial", "n_fold", "none"):
         raise ValueError(f"unknown symmetrization {sym!r}")
     geom = GridGeometry(radius, spacing)

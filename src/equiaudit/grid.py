@@ -96,7 +96,14 @@ class GridGeometry:
             raise ValueError(f"spacing must be positive, got {self.spacing}")
         if not np.isfinite(self.extent) or self.extent <= 0:
             raise ValueError(f"extent must be positive, got {self.extent}")
-        m = max(1, int(np.ceil(self.extent / self.spacing - _SNAP)))
+        ratio = self.extent / self.spacing
+        # a field of this lattice must be addressable as one float64 array
+        if not 8.0 * (2.0 * ratio + 1.0) ** 2 <= np.iinfo(np.intp).max:
+            raise ValueError(
+                f"spacing {self.spacing} over half-width {self.extent} gives a grid"
+                " too large to address"
+            )
+        m = max(1, int(np.ceil(ratio - _SNAP)))
         object.__setattr__(self, "extent", m * self.spacing)
 
     @property

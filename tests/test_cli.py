@@ -236,6 +236,13 @@ def test_audit_flag_overrides_config(tmp_path, capsys):
 
 
 def test_audit_config_errors_exit_1(tmp_path, capsys):
+    # a model file whose nonlinearity is a number, not a string
+    lam = gaussian_filter(0.06, GridGeometry(0.2, 0.05))
+    numeric_nl = tmp_path / "numeric_nl.json"
+    save_model(CnnModel((ConvLayer(((lam,),), (0.0,), Nonlinearity("identity")),)), numeric_nl)
+    payload = json.loads(numeric_nl.read_text())
+    payload["layers"][0]["nonlinearity"] = 3
+    numeric_nl.write_text(json.dumps(payload))
     for overrides in (
         {"wrong_key": 1},
         {"transforms": []},
@@ -246,6 +253,20 @@ def test_audit_config_errors_exit_1(tmp_path, capsys):
         {"corpus": 5},
         {"seed": [1]},
         {"geometry": {"extent": [1]}},
+        {"model": {"nonlinearity": 3}},
+        {"model": str(numeric_nl)},
+        {"model": {"symmetrization": "n_fold", "n_fold": 0}},
+        {"model": {"layers": 1.5}},
+        {"model": {"channels": 1e999}},
+        # a grid of about 82 EB, more than a 64-bit process can address:
+        # GridGeometry rejects it before anything is allocated
+        {"geometry": {"spacing": 1e-9}},
+        {"geometry": {"refinements": 2.5}},
+        {"seed": 2.5},
+        {"seed": True},
+        {"model": {"layers": True}},
+        {"corpus": {"bogus": 1}},
+        {"corpus": {"glyphs": "no"}},
     ):
         cfg_path, _ = _write_config(tmp_path, **overrides)
         assert main(["audit", "--config", str(cfg_path)]) == 1, overrides

@@ -157,6 +157,60 @@ def test_convolve_kernel_grid_wider_than_image():
     np.testing.assert_allclose(got, naive_convolve(f, lam), rtol=1e-12, atol=1e-14)
 
 
+def test_convolve_single_sample_is_the_shifted_kernel():
+    # a lone unit sample at each corner, edge midpoint and the center: the
+    # input box is 1 x 1, so each output is one product and the result is
+    # h^2 times the kernel shifted to the sample and cropped to the domain
+    g = GridGeometry(0.2, 0.05)  # n = 9
+    kg = GridGeometry(0.45, 0.05)  # k = 19, wider than the image
+    rng = np.random.default_rng(31)
+    X, Y = kg.coords()
+    kv = rng.normal(size=(kg.size, kg.size))
+    kv[(rng.random(kv.shape) < 0.3) | (np.hypot(X, Y) > 0.2)] = 0.0  # holes
+    lam = Filter(Grid(kg, kv), 0.2)
+    n, c, h = g.size, kg.half_count, g.spacing
+    assert kg.size > n and not np.array_equal(kv, kv[::-1, ::-1])
+    for i0 in (0, n // 2, n - 1):
+        for j0 in (0, n // 2, n - 1):
+            vals = np.zeros((n, n))
+            vals[i0, j0] = 1.0
+            got = convolve(Grid(g, vals), lam).values
+            # output (i, j) reads tap (i - i0 + c, j - j0 + c)
+            want = kv[c - i0 : c - i0 + n, c - j0 : c - j0 + n] * (h * h)
+            assert got.tobytes() == want.tobytes(), (i0, j0)
+
+
+def test_convolve_one_column_and_one_row_boxes_are_exact():
+    # boxes one sample wide or one sample high, where the row-stride layout
+    # is mostly gap. Integer samples and a power-of-two spacing make every
+    # sum exact in any order, so the naive loop must agree bit for bit. One
+    # kernel grid is wider than the image; the other is dense up to its
+    # corner taps, so the last tap's run ends at the accumulator's last sample
+    g = GridGeometry(1.0, 0.25)  # n = 9
+    rng = np.random.default_rng(37)
+    kernels = []
+    for kg, radius in ((GridGeometry(1.5, 0.25), 1.0), (GridGeometry(0.5, 0.25), 0.75)):
+        X, Y = kg.coords()
+        kv = rng.integers(1, 5, size=(kg.size, kg.size)) * rng.choice([-1.0, 1.0], size=X.shape)
+        kv[np.hypot(X, Y) > radius] = 0.0
+        kernels.append(Filter(Grid(kg, kv), radius))
+    assert kernels[0].grid.geometry.size > g.size and np.all(kernels[1].grid.values != 0.0)
+    n = g.size
+    for at in (0, n // 2, n - 1):
+        for lo, hi in ((0, n), (2, 7)):
+            line = rng.integers(1, 5, size=hi - lo) * rng.choice([-1.0, 1.0], size=hi - lo)
+            column = np.zeros((n, n))
+            column[lo:hi, at] = line
+            row = np.zeros((n, n))
+            row[at, lo:hi] = line
+            for vals in (column, row):
+                f = Grid(g, vals)
+                for lam in kernels:
+                    got = convolve(f, lam).values
+                    want = naive_convolve(f, lam)
+                    assert got.tobytes() == want.tobytes(), (at, lo, hi)
+
+
 def test_convolve_spacing_mismatch_and_domain_fit():
     from equiaudit import GeometryMismatchError
 

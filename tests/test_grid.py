@@ -41,6 +41,16 @@ def test_geometry_snaps_extent_up_to_lattice():
     assert ax[g2.half_count] == 0.0
 
 
+def test_geometry_rejects_a_grid_too_large_to_address():
+    # 3.2e9 samples a side, 8.2e19 bytes a field: refused before any allocation
+    with pytest.raises(ValueError, match="too large to address"):
+        GridGeometry(1.6, 1e-9)
+    with pytest.raises(ValueError, match="too large to address"):
+        GridGeometry(1e300, 1e-300)
+    # the largest addressable side is about 1.07e9 samples
+    assert GridGeometry(1.0, 2e-9).size == 1_000_000_001
+
+
 def test_geometry_row_zero_is_max_y():
     g = GridGeometry(1.0, 0.5)
     X, Y = g.coords()

@@ -3,13 +3,16 @@
 Usage, from the root of a checkout:
 
     python3 tools/bench_layers.py --checkout parent=/path/to/parent \\
-        --checkout change=. --out BENCH_5.json
+        --checkout change=. --out BENCH_6.json
 
 Each checkout is measured with its own ``src/`` on PYTHONPATH by the
 interpreter that runs this script. The layer timings and the audit are
-measured in ROUNDS rounds that alternate the order of the checkouts,
-so that a drift in the machine's speed shows as spread instead of as a
-difference between checkouts. Per checkout it records:
+measured in ROUNDS rounds that alternate the order of the checkouts, each
+checkout in a fresh process per round, so that a drift in the machine's
+speed shows as spread instead of as a difference between checkouts. Each
+timing records, per checkout, the median over rounds, every round's value
+and ``wins``: the number of rounds in which that checkout was the fastest.
+Per checkout it records:
 
 - ``stock_audit_s``: wall time of ``python3 -m equiaudit audit --deterministic``
   with the built-in default config, interpreter start-up included: the median
@@ -18,9 +21,9 @@ difference between checkouts. Per checkout it records:
   summary line;
 - ``convolve``, ``resample_affine`` and ``layer_forward``: per-call times,
   each on a compact corpus bump and, for the kernels, on a dense random
-  field, which has no zero samples to skip. Each round gives the median over
-  repeated calls; the record holds the median over rounds and each round's
-  median;
+  field, which has no zero samples to skip; ``convolve`` also on a kernel of
+  97 samples per side on a 161-sample image, wide against the image. Each
+  round gives the median over repeated calls;
 - the numpy and scipy versions.
 
 With ``--layers`` the script only
@@ -42,12 +45,16 @@ import tempfile
 import time
 from pathlib import Path
 
-# (spacing, image side n, kernel side k) on the stock extent 1.6 and kernel
-# radius 0.24
-CONV_SIZES = ((0.04, 81, 13), (0.02, 161, 25), (0.01, 321, 49), (0.005, 641, 97))
+# (spacing, image side n, kernel side k) on the stock extent 1.6: the stock
+# kernel radius 0.24 at each refinement level, and one wide kernel of radius
+# 0.96
+CONV_SIZES = (
+    (0.04, 81, 13), (0.02, 161, 25), (0.01, 321, 49), (0.005, 641, 97), (0.02, 161, 97)
+)
 RESAMPLE_MAPS = ("shear:1", "rot:45")
 LAYER_CHANNELS = ((1, 1), (2, 2), (4, 4))
-ROUNDS = 3
+# ten rounds: three cannot tell a 10-20 % difference on a shared machine
+ROUNDS = 10
 MIN_REPEATS = 3
 MAX_REPEATS = 25
 MIN_SECONDS = 1.0
@@ -92,14 +99,14 @@ def layer_timings() -> dict:
         dense = Grid(geom, np.random.default_rng(0).standard_normal((geom.size, geom.size)))
         return geom, bump, dense
 
-    def kernel(h, seed=0):
-        return random_radial_filter(GridGeometry(0.24, h), 0.24, np.random.default_rng(seed))
+    def kernel(h, seed=0, radius=0.24):
+        return random_radial_filter(GridGeometry(radius, h), radius, np.random.default_rng(seed))
 
     out = {"numpy": np.__version__, "scipy": scipy.__version__}
     conv = {}
     for h, n, k in CONV_SIZES:
         geom, bump, dense = inputs(h)
-        lam = kernel(h)
+        lam = kernel(h, radius=(k - 1) / 2 * h)
         assert (geom.size, lam.grid.geometry.size) == (n, k)
         for name, f in (("bump", bump), ("dense", dense)):
             conv[f"n{n}_k{k}_{name}"] = _timed(lambda: convolve(f, lam))
@@ -166,24 +173,28 @@ def _suite(checkout: Path) -> dict:
     }
 
 
-def _combine(rounds: list) -> dict:
-    """Median over rounds, with every round's value, of each timing."""
-    first = rounds[0]
+def _combine(rounds: dict, name: str) -> dict:
+    """Median over rounds, every round's value and the win count of each
+    timing of checkout ``name``; ``rounds`` maps every checkout to its rounds."""
+    mine = rounds[name]
+
+    def record(get, unit):
+        wins = sum(
+            all(get(r) <= get(other[i]) for other in rounds.values())
+            for i, r in enumerate(mine)
+        )
+        values = [get(r) for r in mine]
+        return {f"median{unit}": statistics.median(values), f"rounds{unit}": values, "wins": wins}
+
     out = {
-        "numpy": first["layers"]["numpy"],
-        "scipy": first["layers"]["scipy"],
-        "stock_audit_s": {
-            "median": statistics.median(r["stock_audit_s"] for r in rounds),
-            "rounds": [r["stock_audit_s"] for r in rounds],
-        },
+        "numpy": mine[0]["layers"]["numpy"],
+        "scipy": mine[0]["layers"]["scipy"],
+        "stock_audit_s": record(lambda r: r["stock_audit_s"], ""),
     }
     for family in ("convolve", "resample_affine", "layer_forward"):
         out[family] = {
-            key: {
-                "median_ms": statistics.median(r["layers"][family][key] for r in rounds),
-                "rounds_ms": [r["layers"][family][key] for r in rounds],
-            }
-            for key in first["layers"][family]
+            key: record(lambda r, f=family, k=key: r["layers"][f][k], "_ms")
+            for key in mine[0]["layers"][family]
         }
     return out
 
@@ -219,7 +230,7 @@ def main() -> int:
             print(f"round {r}: {name} ({checkout})", file=sys.stderr)
             rounds[name].append(_round(checkout))
     for name, checkout in checkouts:
-        report[name] = _combine(rounds[name])
+        report[name] = _combine(rounds, name)
         report[name].update(_suite(checkout))
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
