@@ -229,13 +229,25 @@ def naturality_check(
     """
     if refinements < 1:
         raise ValueError("refinements must be >= 1")
+    return _naturality_curve(_refined_levels(f, lam, refinements), T)
+
+
+def _refined_levels(f: Grid, lam: Filter, refinements: int) -> List[Tuple[Grid, Filter]]:
+    """(f, lam) refined by 2^k for k = 0 .. refinements - 1."""
+    return [
+        (refine(f, 2 ** k), refine_filter(lam, 2 ** k)) if k else (f, lam)
+        for k in range(refinements)
+    ]
+
+
+def _naturality_curve(levels: Sequence[Tuple[Grid, Filter]], T: LinearMap2) -> ResidualCurve:
+    """Core of naturality_check on already refined (f, lam) levels, finest
+    last; full_paper_audit refines once and reuses the levels for every T."""
     inv = T.inverse()
     spacings = []
     residuals = []
     scale = 1.0
-    for k in range(refinements):
-        fk = refine(f, 2 ** k) if k else f
-        lamk = refine_filter(lam, 2 ** k) if k else lam
+    for fk, lamk in levels:
         hk = fk.spacing
         tf = transform_filter(lamk, T)
         lhs = resample_affine(convolve(resample_affine(fk, T), lamk), inv)
@@ -659,21 +671,37 @@ def full_paper_audit(
     for k in levels:
         models[k] = model if k == 0 else refine_model(model, 2 ** k)
     corpora = {k: tuple(refine(f, 2 ** k) for f in corpus) if k else corpus for k in audited}
-    ops = {k: model_channel_operator(models[k], channel=settings.channel) for k in audited}
-    baselines = {k: tuple(ops[k](f) for f in corpora[k]) for k in audited}
-    c0 = baselines[kf][0].values.flat[0]
-    if all(np.all(b.values == c0) for b in baselines[kf]):
+    # ops feed only laws judged against tol(h) (alignment, generator
+    # invariance, contraction), so they run on convolve's FFT engine; every
+    # other law below calls the direct engine
+    ops = {
+        k: model_channel_operator(models[k], channel=settings.channel, exact=False)
+        for k in audited
+    }
+    engine = "fft"
+    # a constant channel is an exact test, so it runs on the direct engine:
+    # FFT rounding can lift a relu channel that is exactly 0.0 to +-1e-18.
+    # It stops at the first nonconstant response, usually the first entry
+    exact_op = model_channel_operator(models[kf], channel=settings.channel)
+    direct = (exact_op(f).values for f in corpora[kf])
+    first = next(direct)
+    c0 = first.flat[0]
+    if np.all(first == c0) and all(np.all(v == c0) for v in direct):
         raise ConstantFeatureError(
             f"channel {settings.channel} is the constant {float(c0)!r} on every "
             f"corpus entry at spacing {spacings[kf]}; a constant feature detects "
             f"nothing, so there is no alignment to audit"
         )
+    baselines = {k: tuple(ops[k](f) for f in corpora[k]) for k in audited}
     hf = spacings[kf]
     scale = max(max(b.sup_norm() for b in baselines[kf]), 1e-300)
     tol_fine = tolerance(hf, scale, settings.tol_factor)
     floor = settings.floor_factor * tol_fine
 
     parsed = [(spec, parse_transform(spec)) for spec in transforms]
+    # naturality of a first-layer kernel on an off-center bump, refined once
+    nat_index = min(1, len(corpus) - 1)
+    nat_levels = _refined_levels(corpus[nat_index], model.layers[0].kernels[0][0], K)
     fine_kernels = [
         lam for layer in models[kf].layers for row in layer.kernels for lam in row
     ]
@@ -769,6 +797,7 @@ def full_paper_audit(
                     fine_to_coarse_ratio=ratio,
                     floor_confirmed=floor_confirmed,
                     corpus_argmax=argmax_idx,
+                    engine=engine,
                 ),
                 res[kf],
                 report_obj.verdict,
@@ -782,10 +811,7 @@ def full_paper_audit(
             argmax_lhs.geometry, argmax_lhs.values - rhs.values
         )
 
-        # naturality of a first-layer kernel on an off-center bump
-        nat_f = corpus[min(1, len(corpus) - 1)]
-        lam0 = model.layers[0].kernels[0][0]
-        nat = naturality_check(lam0, T, nat_f, refinements=K)
+        nat = _naturality_curve(nat_levels, T)
         nat_ok = nat.fitted_rate >= 0.9 and nat.residuals[-1] <= tolerance(
             nat.spacings[-1], nat.scale, settings.tol_factor
         )
@@ -793,7 +819,7 @@ def full_paper_audit(
             _check(
                 f"naturality[{spec}]",
                 "conv-naturality",
-                {"corpus_index": min(1, len(corpus) - 1)},
+                {"corpus_index": nat_index},
                 nat.residuals[-1],
                 "converges" if nat_ok else "stalls",
                 nat,
@@ -801,7 +827,7 @@ def full_paper_audit(
         )
 
         # shifts commute with the warp
-        comm_f = corpora[kf][min(1, len(corpus) - 1)]
+        comm_f = corpora[kf][nat_index]
         comm = commutation_check(T, (hf, 0.0), comm_f)
         comm_scale = max(comm_f.sup_norm(), 1e-300)
         checks.append(
@@ -858,7 +884,7 @@ def full_paper_audit(
             _check(
                 f"generator-invariance[{spec}]",
                 "generator-invariance",
-                {"argmax": gen_rec.descriptor, **gen_rec.metadata},
+                {"argmax": gen_rec.descriptor, **gen_rec.metadata, "engine": engine},
                 gen_res,
                 "invariant" if gen_res <= tol_fine else "varies",
             )
@@ -904,6 +930,7 @@ def full_paper_audit(
                             "measures": [s.support_measure for s in steps],
                             "mu_values": [s.mu_value for s in steps],
                             "mu_empty": mu0,
+                            "engine": engine,
                         },
                         steps[-1].support_measure,
                         "collapses" if collapsed else "persists",

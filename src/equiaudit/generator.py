@@ -99,13 +99,15 @@ def convolution_operator(lam: Filter) -> OperatorHandle:
 
 
 def model_channel_operator(
-    model: CnnModel, depth: Optional[int] = None, channel: int = 0
+    model: CnnModel, depth: Optional[int] = None, channel: int = 0, exact: bool = True
 ) -> OperatorHandle:
     """One output channel of the model truncated at ``depth`` layers.
 
     Only that channel of the last computed layer is evaluated (the whole
     layer for softmax, which mixes channels); the result equals
     ``model_forward_stages(f, model)[depth].channels[channel]`` bit for bit.
+    ``exact=False`` runs every convolution on convolve's FFT engine, for
+    checks judged against tol(h) only.
     """
     L = model.depth
     depth = L if depth is None else int(depth)
@@ -121,8 +123,8 @@ def model_channel_operator(
             return f
         stack = f
         for layer in model.layers[: depth - 1]:
-            stack = layer_forward(stack, layer)
-        return _channel_forward(stack, model.layers[depth - 1], channel)
+            stack = layer_forward(stack, layer, exact)
+        return _channel_forward(stack, model.layers[depth - 1], channel, exact)
 
     return OperatorHandle(fn, radius, f"model[depth={depth},channel={channel}]")
 

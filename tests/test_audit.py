@@ -404,14 +404,15 @@ def _small_audit_model(nonlinearity="identity"):
 
 def test_full_paper_audit_matches_public_checks():
     # the audit's finest-level alignment and generator residuals are the
-    # public checks run on the refined model and corpus, bit for bit
+    # public checks run on the refined model and corpus with the audit's FFT
+    # engine, and its naturality curves are naturality_check's, bit for bit
     g = GridGeometry(1.2, 0.05)
     corpus = make_corpus(g, seed=0)
     model = _small_audit_model()
     specs = ["rot:30", "shear:1"]
     report = full_paper_audit(model, specs, corpus, AuditSettings(refinements=2)).report
     checks = {c["name"]: c for c in report["checks"]}
-    op = model_channel_operator(refine_model(model, 2), channel=0)
+    op = model_channel_operator(refine_model(model, 2), channel=0, exact=False)
     fine = [refine(f, 2) for f in corpus]
     for spec in specs:
         T = parse_transform(spec)
@@ -420,6 +421,51 @@ def test_full_paper_audit_matches_public_checks():
         gen, rec = generator_invariance_residual(op, T, fine)
         assert checks[f"generator-invariance[{spec}]"]["residual"] == gen, spec
         assert checks[f"generator-invariance[{spec}]"]["params"]["argmax"] == rec.descriptor
+        nat = naturality_check(model.layers[0].kernels[0][0], T, corpus[1], refinements=2)
+        curve = checks[f"naturality[{spec}]"]["spacing_curve"]
+        assert curve["residuals"] == list(nat.residuals), spec
+        assert curve["scale"] == nat.scale, spec
+
+
+def _two_layer_audit_model():
+    return build_model(
+        {"layers": 2, "channels": 2, "kernel_radius": 0.15,
+         "nonlinearity": "identity", "symmetrization": "radial"},
+        spacing=0.05,
+        rng=np.random.default_rng(1),
+    )
+
+
+@pytest.mark.parametrize("make_model", [_small_audit_model, _two_layer_audit_model])
+def test_full_paper_audit_fft_engine_matches_the_direct_engine(make_model, monkeypatch):
+    # the audit's tolerance-judged laws run on the FFT engine; with the direct
+    # engine every verdict is the same and every residual within 1e-12 scale
+    import equiaudit.audit as audit_module
+
+    g = GridGeometry(1.2, 0.05)
+    corpus = make_corpus(g, seed=0)
+    specs = ["rot:90", "rot:30", "shear:1", "scale:2"]
+    settings = AuditSettings(refinements=2)
+    fast = full_paper_audit(make_model(), specs, corpus, settings).report
+    fft_op = audit_module.model_channel_operator
+    monkeypatch.setattr(
+        audit_module,
+        "model_channel_operator",
+        lambda *args, **kwargs: fft_op(*args, **dict(kwargs, exact=True)),
+    )
+    direct = full_paper_audit(make_model(), specs, corpus, settings).report
+    assert fast["expectations"] == direct["expectations"]
+    assert fast["consistent"] and direct["consistent"]
+    scale = direct["tolerances"]["scale"]
+    assert abs(fast["tolerances"]["scale"] - scale) <= 1e-12 * scale
+    assert [c["name"] for c in fast["checks"]] == [c["name"] for c in direct["checks"]]
+    for a, b in zip(fast["checks"], direct["checks"]):
+        assert a["verdict"] == b["verdict"], a["name"]
+        assert abs(a["residual"] - b["residual"]) <= 1e-12 * scale, a["name"]
+        if a["name"].startswith(("alignment", "generator-invariance", "contraction")):
+            assert a["params"]["engine"] == "fft", a["name"]
+        else:
+            assert a == b, a["name"]
 
 
 def test_full_paper_audit_constant_channel_raises():
@@ -429,6 +475,14 @@ def test_full_paper_audit_constant_channel_raises():
     model = CnnModel((ConvLayer(((lam,),), (-1e3,), Nonlinearity("relu")),))
     with pytest.raises(ConstantFeatureError, match="channel 0"):
         full_paper_audit(model, ["shear:1"], corpus, AuditSettings(refinements=2))
+    # a negative kernel on nonnegative bumps gives a relu channel that the
+    # direct sum makes exactly 0.0, where FFT rounding leaves +-1e-18
+    neg = gaussian_filter(0.06, GridGeometry(0.2, 0.05), amplitude=-1.0)
+    model = CnnModel((ConvLayer(((neg,),), (0.0,), Nonlinearity("relu")),))
+    bumps = corpus[:15]
+    assert min(f.values.min() for f in bumps) >= 0.0
+    with pytest.raises(ConstantFeatureError, match="channel 0"):
+        full_paper_audit(model, ["shear:1"], bumps, AuditSettings(refinements=2))
 
 
 @pytest.mark.filterwarnings("error")

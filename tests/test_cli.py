@@ -275,6 +275,18 @@ def test_audit_config_errors_exit_1(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is imported only where a lipschitz_sigmoid layer is evaluated
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, equiaudit.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "equiaudit", "classify", "rot:90"],

@@ -2,9 +2,12 @@
 
 convolve and resample_affine only do work near the input's nonzero support.
 These tests compare them byte for byte against test-local copies of the
-whole-domain loops, on fields and maps drawn by hypothesis. The examples are
+whole-domain loops, on fields and maps drawn by hypothesis, and convolve's
+FFT engine against its direct engine within rounding. The examples are
 derandomized, so every run draws the same ones.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
@@ -90,6 +93,60 @@ def test_convolve_matches_full_grid_loop_bit_for_bit(data):
     f = data.draw(fields(geom))
     lam = data.draw(kernels(geom))
     assert convolve(f, lam).values.tobytes() == full_grid_convolve(f, lam).tobytes()
+
+
+def is_plus_zero(a: np.ndarray) -> bool:
+    return bool(np.all(a == 0.0) and not np.signbit(a).any())
+
+
+def written_box(f: Grid, lam: Filter):
+    """Rows and columns, as slices, of f's nonzero box dilated by the
+    kernel's nonzero box and clipped to the domain: the only samples a nonzero
+    product reaches. Both boxes must be nonempty."""
+    n = f.geometry.size
+    c = lam.grid.geometry.half_count
+    spans = []
+    for axis in (1, 0):
+        fi = np.flatnonzero(np.any(f.values != 0.0, axis=axis))
+        ki = np.flatnonzero(np.any(lam.grid.values != 0.0, axis=axis))
+        lo, hi = fi[0] + ki[0] - c, fi[-1] + ki[-1] - c + 1
+        spans.append(slice(max(0, lo), min(n, hi)))
+    return tuple(spans)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fft_convolve_is_direct_within_rounding_and_plus_zero_outside_the_dilated_box(data):
+    # the FFT engine agrees with the direct engine to 1e-12 of the output's
+    # sup, writes nothing beyond f's box dilated by the kernel's box, and
+    # gives the same bytes on every call
+    geom = data.draw(IMAGE_GEOMETRIES)
+    f = data.draw(fields(geom))
+    lam = data.draw(kernels(geom))
+    direct = convolve(f, lam).values
+    fast = convolve(f, lam, exact=False).values
+    assert np.abs(fast - direct).max() <= 1e-12 * np.abs(direct).max()
+    assert convolve(f, lam, exact=False).values.tobytes() == fast.tobytes()
+    outside = np.ones(fast.shape, dtype=bool)
+    if np.any(f.values != 0.0):
+        outside[written_box(f, lam)] = False
+    assert is_plus_zero(fast[outside])
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fft_convolve_of_a_zero_input_or_kernel_is_plus_zero_without_a_transform(data):
+    geom = data.draw(IMAGE_GEOMETRIES)
+    f = data.draw(fields(geom))
+    lam = data.draw(kernels(geom))
+    background = data.draw(st.sampled_from([0.0, -0.0]))
+    if data.draw(st.booleans()):
+        f = Grid(geom, np.full(f.values.shape, background))
+    else:
+        lam = Filter(Grid(lam.grid.geometry, np.full(lam.grid.values.shape, background)), 0.0)
+    with mock.patch.object(np.fft, "rfft2", side_effect=AssertionError("transform")):
+        out = convolve(f, lam, exact=False).values
+    assert is_plus_zero(out)
 
 
 def full_grid_resample(f: Grid, T: LinearMap2, geometry: GridGeometry) -> np.ndarray:

@@ -3,7 +3,7 @@
 Usage, from the root of a checkout:
 
     python3 tools/bench_layers.py --checkout parent=/path/to/parent \\
-        --checkout change=. --out BENCH_6.json
+        --checkout change=. --out BENCH_7.json
 
 Each checkout is measured with its own ``src/`` on PYTHONPATH by the
 interpreter that runs this script. The layer timings and the audit are
@@ -24,6 +24,10 @@ Per checkout it records:
   field, which has no zero samples to skip; ``convolve`` also on a kernel of
   97 samples per side on a 161-sample image, wide against the image. Each
   round gives the median over repeated calls;
+- ``convolve_fft``: the same ``convolve`` calls on the FFT engine
+  (``exact=False``), for a checkout whose ``convolve`` has that keyword, and
+  ``convolve_fft_max_rel_diff``: the largest difference between the FFT and
+  the direct output over all rounds, relative to the direct output's sup;
 - the numpy and scipy versions.
 
 With ``--layers`` the script only
@@ -34,6 +38,7 @@ JSON; the full run calls itself that way.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import platform
@@ -102,15 +107,16 @@ def layer_timings() -> dict:
     def kernel(h, seed=0, radius=0.24):
         return random_radial_filter(GridGeometry(radius, h), radius, np.random.default_rng(seed))
 
+    def conv_cases():
+        for h, n, k in CONV_SIZES:
+            geom, bump, dense = inputs(h)
+            lam = kernel(h, radius=(k - 1) / 2 * h)
+            assert (geom.size, lam.grid.geometry.size) == (n, k)
+            for name, f in (("bump", bump), ("dense", dense)):
+                yield f"n{n}_k{k}_{name}", f, lam
+
     out = {"numpy": np.__version__, "scipy": scipy.__version__}
-    conv = {}
-    for h, n, k in CONV_SIZES:
-        geom, bump, dense = inputs(h)
-        lam = kernel(h, radius=(k - 1) / 2 * h)
-        assert (geom.size, lam.grid.geometry.size) == (n, k)
-        for name, f in (("bump", bump), ("dense", dense)):
-            conv[f"n{n}_k{k}_{name}"] = _timed(lambda: convolve(f, lam))
-    out["convolve"] = conv
+    out["convolve"] = {key: _timed(lambda: convolve(f, lam)) for key, f, lam in conv_cases()}
 
     geom, bump, dense = inputs(0.01)
     res = {}
@@ -133,6 +139,18 @@ def layer_timings() -> dict:
             lambda: layer_forward(stack, layer)
         )
     out["layer_forward"] = lay
+
+    # the FFT engine comes last, so every timing above runs the same calls in
+    # the same order in a checkout without it
+    if "exact" in inspect.signature(convolve).parameters:
+        fft, diff = {}, {}
+        for key, f, lam in conv_cases():
+            fft[key] = _timed(lambda: convolve(f, lam, exact=False))
+            want = convolve(f, lam).values
+            got = convolve(f, lam, exact=False).values
+            diff[key] = float(np.abs(got - want).max() / np.abs(want).max())
+        out["convolve_fft"] = fft
+        out["convolve_fft_max_rel_diff"] = diff
     return out
 
 
@@ -179,8 +197,10 @@ def _combine(rounds: dict, name: str) -> dict:
     mine = rounds[name]
 
     def record(get, unit):
+        # get gives None for a checkout without the timing (convolve_fft
+        # without the FFT engine), which takes no part in the win count
         wins = sum(
-            all(get(r) <= get(other[i]) for other in rounds.values())
+            all(get(r) <= get(o[i]) for o in rounds.values() if get(o[i]) is not None)
             for i, r in enumerate(mine)
         )
         values = [get(r) for r in mine]
@@ -191,10 +211,17 @@ def _combine(rounds: dict, name: str) -> dict:
         "scipy": mine[0]["layers"]["scipy"],
         "stock_audit_s": record(lambda r: r["stock_audit_s"], ""),
     }
-    for family in ("convolve", "resample_affine", "layer_forward"):
-        out[family] = {
-            key: record(lambda r, f=family, k=key: r["layers"][f][k], "_ms")
-            for key in mine[0]["layers"][family]
+    for family in ("convolve", "convolve_fft", "resample_affine", "layer_forward"):
+        if family in mine[0]["layers"]:
+            out[family] = {
+                key: record(lambda r, f=family, k=key: r["layers"].get(f, {}).get(k), "_ms")
+                for key in mine[0]["layers"][family]
+            }
+    diffs = mine[0]["layers"].get("convolve_fft_max_rel_diff")
+    if diffs is not None:
+        out["convolve_fft_max_rel_diff"] = {
+            key: max(r["layers"]["convolve_fft_max_rel_diff"][key] for r in mine)
+            for key in diffs
         }
     return out
 
