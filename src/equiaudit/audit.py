@@ -8,17 +8,18 @@ measured residual with an explicit tolerance story:
 - a residual that stays bounded away from zero across refinements is a
   genuine misalignment.
 
-Default thresholds: tol(h) = 5 h scale (first-order interpolation error) and
-floor = 20 tol(h_finest), one decade of separation between the two verdict
-classes. The two-spacing comparison is the core verdict mechanism; every
-report records the thresholds it used.
+Fixed thresholds: tol(h) = TOL_FACTOR h scale with TOL_FACTOR = 5
+(first-order interpolation error), and floor = FLOOR_FACTOR tol(h_finest) with
+FLOOR_FACTOR = 20, one decade of separation between the two verdict classes.
+The two-spacing comparison is the core verdict mechanism; every report records
+the thresholds it used.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,6 +42,7 @@ from .errors import (
     GeometryMismatchError,
     NoCounterexampleError,
     ResolutionWarning,
+    TransformClassError,
 )
 from .generator import (
     GeneratorRecord,
@@ -70,7 +72,6 @@ from .transform import (
 )
 
 __all__ = [
-    "AlignmentReport",
     "ResidualCurve",
     "CounterexampleCertificate",
     "AuditSettings",
@@ -90,23 +91,14 @@ __all__ = [
 ]
 
 
-def tolerance(h: float, scale: float, factor: float = 5.0) -> float:
+TOL_FACTOR = 5.0
+FLOOR_FACTOR = 20.0
+
+
+def tolerance(h: float, scale: float, factor: float = TOL_FACTOR) -> float:
     """First-order interpolation tolerance at spacing h for fields of the
     given magnitude."""
     return factor * h * scale
-
-
-@dataclass(frozen=True)
-class AlignmentReport:
-    transform_spec: str
-    aligner_spec: str
-    residual: float
-    scale: float
-    tol: float
-    floor: float
-    masked_note: str
-    spacing: float
-    verdict: str  # "aligned_within_tol" | "misaligned(floor)"
 
 
 @dataclass(frozen=True)
@@ -581,12 +573,6 @@ def make_corpus(
 class AuditSettings:
     refinements: int = 3
     seed: int = 0
-    tol_factor: float = 5.0
-    floor_factor: float = 20.0
-    channel: int = 0
-    norot_bump_radius: float = 0.5
-    mollifier_steps: int = 2
-    mollifier_sigma0: Optional[float] = None  # default: 8 x finest spacing
 
 
 @dataclass(frozen=True)
@@ -663,43 +649,41 @@ def full_paper_audit(
     K = settings.refinements
     spacings = [h0 / 2 ** k for k in range(K)]
     kf = K - 1
-    k_norot = min(1, kf)
-    levels = sorted({0, k_norot, kf})
     audited = sorted({0, kf})  # alignment runs at the coarsest and finest spacings
+    channel = 0
 
-    models = {}
-    for k in levels:
-        models[k] = model if k == 0 else refine_model(model, 2 ** k)
+    models = {k: refine_model(model, 2 ** k) if k else model for k in audited}
     corpora = {k: tuple(refine(f, 2 ** k) for f in corpus) if k else corpus for k in audited}
     # ops feed only laws judged against tol(h) (alignment, generator
     # invariance, contraction), so they run on convolve's FFT engine; every
     # other law below calls the direct engine
     ops = {
-        k: model_channel_operator(models[k], channel=settings.channel, exact=False)
-        for k in audited
+        k: model_channel_operator(models[k], channel=channel, exact=False) for k in audited
     }
     engine = "fft"
     # a constant channel is an exact test, so it runs on the direct engine:
     # FFT rounding can lift a relu channel that is exactly 0.0 to +-1e-18.
     # It stops at the first nonconstant response, usually the first entry
-    exact_op = model_channel_operator(models[kf], channel=settings.channel)
+    exact_op = model_channel_operator(models[kf], channel=channel)
     direct = (exact_op(f).values for f in corpora[kf])
     first = next(direct)
     c0 = first.flat[0]
     if np.all(first == c0) and all(np.all(v == c0) for v in direct):
         raise ConstantFeatureError(
-            f"channel {settings.channel} is the constant {float(c0)!r} on every "
+            f"channel {channel} is the constant {float(c0)!r} on every "
             f"corpus entry at spacing {spacings[kf]}; a constant feature detects "
             f"nothing, so there is no alignment to audit"
         )
     baselines = {k: tuple(ops[k](f) for f in corpora[k]) for k in audited}
     hf = spacings[kf]
     scale = max(max(b.sup_norm() for b in baselines[kf]), 1e-300)
-    tol_fine = tolerance(hf, scale, settings.tol_factor)
-    floor = settings.floor_factor * tol_fine
+    tol_fine = tolerance(hf, scale)
+    floor = FLOOR_FACTOR * tol_fine
 
     parsed = [(spec, parse_transform(spec)) for spec in transforms]
-    # naturality of a first-layer kernel on an off-center bump, refined once
+    # naturality of a first-layer kernel on an off-center bump, refined once;
+    # the aligner-necessity and filter-recovery kernels are read off the same
+    # ladder, refine_filter being what refine_model applies to each kernel
     nat_index = min(1, len(corpus) - 1)
     nat_levels = _refined_levels(corpus[nat_index], model.layers[0].kernels[0][0], K)
     fine_kernels = [
@@ -733,7 +717,7 @@ def full_paper_audit(
         )
 
         fp_residuals = [filter_fixed_point_residual(k, T) for k in fine_kernels]
-        fp_tol = settings.tol_factor * hf  # residuals are already relative
+        fp_tol = TOL_FACTOR * hf  # residuals are already relative
         fp_pass = max(fp_residuals) <= fp_tol
         checks.append(
             _check(
@@ -768,20 +752,7 @@ def full_paper_audit(
         aligned = res[kf] <= tol_fine
         ratio = res[kf] / res[0] if res[0] > 0 else math.inf
         floor_confirmed = (not aligned) and (res[kf] >= floor or ratio >= 0.6)
-        mask_note = (
-            "sup over the interior trusted after operator reads and the aligner warp"
-        )
-        report_obj = AlignmentReport(
-            transform_spec=spec,
-            aligner_spec=f"inverse of {spec}",
-            residual=res[kf],
-            scale=scale,
-            tol=tol_fine,
-            floor=floor,
-            masked_note=mask_note,
-            spacing=hf,
-            verdict="aligned_within_tol" if aligned else "misaligned(floor)",
-        )
+        verdict = "aligned_within_tol" if aligned else "misaligned(floor)"
         curve_h = tuple(spacings[k] for k in audited)
         curve_r = tuple(res[k] for k in audited)
         curve = ResidualCurve(
@@ -791,16 +762,27 @@ def full_paper_audit(
             _check(
                 f"alignment[{spec}]",
                 "feature-alignment",
-                dict(
-                    asdict(report_obj),
-                    coarse_residual=res[0],
-                    fine_to_coarse_ratio=ratio,
-                    floor_confirmed=floor_confirmed,
-                    corpus_argmax=argmax_idx,
-                    engine=engine,
-                ),
+                {
+                    "transform_spec": spec,
+                    "aligner_spec": f"inverse of {spec}",
+                    "residual": res[kf],
+                    "scale": scale,
+                    "tol": tol_fine,
+                    "floor": floor,
+                    "masked_note": (
+                        "sup over the interior trusted after operator reads and "
+                        "the aligner warp"
+                    ),
+                    "spacing": hf,
+                    "verdict": verdict,
+                    "coarse_residual": res[0],
+                    "fine_to_coarse_ratio": ratio,
+                    "floor_confirmed": floor_confirmed,
+                    "corpus_argmax": argmax_idx,
+                    "engine": engine,
+                },
                 res[kf],
-                report_obj.verdict,
+                verdict,
                 curve,
             )
         )
@@ -813,7 +795,7 @@ def full_paper_audit(
 
         nat = _naturality_curve(nat_levels, T)
         nat_ok = nat.fitted_rate >= 0.9 and nat.residuals[-1] <= tolerance(
-            nat.spacings[-1], nat.scale, settings.tol_factor
+            nat.spacings[-1], nat.scale
         )
         checks.append(
             _check(
@@ -836,9 +818,7 @@ def full_paper_audit(
                 "shift-warp-commutation",
                 {"delta": [hf, 0.0], "scale": comm_scale},
                 comm,
-                "commutes"
-                if comm <= tolerance(hf, comm_scale, settings.tol_factor)
-                else "violates",
+                "commutes" if comm <= tolerance(hf, comm_scale) else "violates",
             )
         )
 
@@ -854,10 +834,8 @@ def full_paper_audit(
                 )
             )
         else:
-            lam_n = models[k_norot].layers[0].kernels[0][0]
-            cert = norot_counterexample(
-                lam_n, lam_n, T, bump_radius=settings.norot_bump_radius
-            )
+            lam_n = nat_levels[min(1, kf)][1]
+            cert = norot_counterexample(lam_n, lam_n, T)
             checks.append(
                 _check(
                     f"aligner-necessity[{spec}]",
@@ -891,16 +869,19 @@ def full_paper_audit(
         )
 
         # contraction collapse, for maps off the unit-determinant shell
+        # (or of its inverse); contraction_sequence rejects a map with a
+        # contracting direction, so a map both directions reject mixes the two
         if cls.kind == "contracting_or_expanding":
-            eigs = np.linalg.eigvals(T.matrix)
-            direction = None
-            if np.abs(eigs).min() >= 1.0 - 1e-9:
-                direction, Tc = "forward", T
-            else:
-                inv_eigs = np.abs(np.linalg.eigvals(T.inverse().matrix))
-                if inv_eigs.min() >= 1.0 - 1e-9:
-                    direction, Tc = "inverse", T.inverse()
-            if direction is None:
+            R0 = geom0.extent
+            bump = make_bump((0.35 * R0, 0.0), 0.15 * R0, 1.0, geom0)
+            steps = None
+            for direction, Tc in (("forward", T), ("inverse", T.inverse())):
+                try:
+                    steps = contraction_sequence(bump, Tc, 0.55 * R0, 4, op=ops[0])
+                    break
+                except TransformClassError:
+                    pass
+            if steps is None:
                 checks.append(
                     _check(
                         f"contraction[{spec}]",
@@ -911,11 +892,6 @@ def full_paper_audit(
                     )
                 )
             else:
-                R0 = geom0.extent
-                bump = make_bump((0.35 * R0, 0.0), 0.15 * R0, 1.0, geom0)
-                steps = contraction_sequence(
-                    bump, Tc, 0.55 * R0, 4, op=ops[0]
-                )
                 mu0 = generator_eval(ops[0], Grid(geom0, np.zeros(bump.values.shape)))
                 collapsed = steps[-1].support_measure == 0.0 and (
                     abs(steps[-1].mu_value - mu0) <= 1e-9 * max(abs(mu0), scale)
@@ -954,11 +930,9 @@ def full_paper_audit(
     # global mollifier recovery on a first-layer kernel at the finest spacing;
     # an empty transform list requests nothing, so the bundle stays empty
     if parsed:
-        lam_fine = models[kf].layers[0].kernels[0][0]
-        sigma0 = settings.mollifier_sigma0
-        if sigma0 is None:
-            sigma0 = 8.0 * hf
-        pairs = mollifier_recover_filter(lam_fine, settings.mollifier_steps, sigma0)
+        lam_fine = nat_levels[kf][1]
+        n_steps, sigma0 = 2, 8.0 * hf
+        pairs = mollifier_recover_filter(lam_fine, n_steps, sigma0)
         lam_l1 = max(lam_fine.grid.l1_norm(), 1e-300)
         errs = [e for _, e in pairs]
         tail = errs[-3:]
@@ -971,7 +945,7 @@ def full_paper_audit(
                 "filter-recovery",
                 {
                     "sigma0": sigma0,
-                    "n_steps": settings.mollifier_steps,
+                    "n_steps": n_steps,
                     "sigmas": [s for s, _ in pairs],
                     "errors": errs,
                     "filter_l1": lam_l1,
@@ -986,12 +960,12 @@ def full_paper_audit(
     report = {
         "seed": settings.seed,
         "spacings": spacings,
-        "channel": settings.channel,
+        "channel": channel,
         "transforms": list(transforms),
         "corpus_size": len(corpus),
         "tolerances": {
-            "tol_factor": settings.tol_factor,
-            "floor_factor": settings.floor_factor,
+            "tol_factor": TOL_FACTOR,
+            "floor_factor": FLOOR_FACTOR,
             "finest_tol": tol_fine,
             "floor": floor,
             "scale": scale,

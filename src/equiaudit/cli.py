@@ -347,7 +347,7 @@ def cmd_demo(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         summary = fn(out_dir, spacing)
-    except (ValueError, EquiauditError) as e:
+    except (ValueError, EquiauditError, MemoryError) as e:
         print(f"equiaudit: {e}", file=sys.stderr)
         return 1
     print(summary)

@@ -412,6 +412,20 @@ def test_full_paper_audit_matches_public_checks():
     specs = ["rot:30", "shear:1"]
     report = full_paper_audit(model, specs, corpus, AuditSettings(refinements=2)).report
     checks = {c["name"]: c for c in report["checks"]}
+    # the report's shape and its fixed thresholds, channel and mollifier ladder
+    assert report["tolerances"]["tol_factor"] == 5.0
+    assert report["tolerances"]["floor_factor"] == 20.0
+    assert report["channel"] == 0
+    h_f = report["spacings"][-1]
+    recovery = checks["filter-recovery"]["params"]
+    assert recovery["n_steps"] == 2
+    assert recovery["sigma0"] == 8 * h_f
+    for spec in specs:
+        assert set(checks[f"alignment[{spec}]"]["params"]) == {
+            "transform_spec", "aligner_spec", "residual", "scale", "tol", "floor",
+            "masked_note", "spacing", "verdict", "coarse_residual",
+            "fine_to_coarse_ratio", "floor_confirmed", "corpus_argmax", "engine",
+        }, spec
     op = model_channel_operator(refine_model(model, 2), channel=0, exact=False)
     fine = [refine(f, 2) for f in corpus]
     for spec in specs:
@@ -425,6 +439,28 @@ def test_full_paper_audit_matches_public_checks():
         curve = checks[f"naturality[{spec}]"]["spacing_curve"]
         assert curve["residuals"] == list(nat.residuals), spec
         assert curve["scale"] == nat.scale, spec
+
+
+def test_full_paper_audit_contraction_direction():
+    # an expanding map runs the contraction forward, a contracting one on its
+    # inverse, and a map that does both has no contraction sequence at all
+    g = GridGeometry(1.2, 0.05)
+    corpus = make_corpus(g, seed=0)
+    specs = ["scale:2", "scale:0.5", "scale:3,0.5"]
+    report = full_paper_audit(
+        _small_audit_model(), specs, corpus, AuditSettings(refinements=1)
+    ).report
+    checks = {c["name"]: c for c in report["checks"]}
+    forward = checks["contraction[scale:2]"]
+    assert forward["params"]["direction"] == "forward"
+    assert forward["verdict"] == "collapses"
+    inverse = checks["contraction[scale:0.5]"]
+    assert inverse["params"]["direction"] == "inverse"
+    assert inverse["verdict"] == "collapses"
+    mixed = checks["contraction[scale:3,0.5]"]
+    assert mixed["verdict"] == "not_applicable"
+    assert list(mixed["params"]) == ["note"]
+    assert mixed["residual"] == 0.0
 
 
 def _two_layer_audit_model():

@@ -119,6 +119,32 @@ def test_demo_bad_spacing_exits_1(tmp_path, capsys):
     assert not (out / "summary.txt").exists()
 
 
+@pytest.mark.parametrize("name", ["wm-rotation", "scale-fov"])
+def test_demo_out_of_memory_exits_1(tmp_path, name):
+    # spacing 1e-9 passes the grid's addressability check, but one kernel axis
+    # alone needs several GiB; under a 2.5 GiB address-space limit the
+    # allocation fails, and the demo must report it rather than crash
+    resource = pytest.importorskip("resource")
+    limit = int(2.5 * 2**30)
+
+    def cap_address_space():
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        soft = limit if hard == resource.RLIM_INFINITY else min(limit, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "equiaudit", "demo", name,
+         "--out", str(tmp_path), "--spacing", "1e-9"],
+        capture_output=True,
+        text=True,
+        preexec_fn=cap_address_space,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("equiaudit:")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "summary.txt").exists()
+
+
 def test_audit_small_config_passes_and_writes_report(tmp_path, capsys):
     cfg_path, cfg = _write_config(tmp_path)
     assert main(["audit", "--config", str(cfg_path), "--deterministic"]) == 0

@@ -25,9 +25,9 @@ Per checkout it records:
   97 samples per side on a 161-sample image, wide against the image. Each
   round gives the median over repeated calls;
 - ``convolve_fft``: the same ``convolve`` calls on the FFT engine
-  (``exact=False``), for a checkout whose ``convolve`` has that keyword, and
-  ``convolve_fft_max_rel_diff``: the largest difference between the FFT and
-  the direct output over all rounds, relative to the direct output's sup;
+  (``exact=False``), and ``convolve_fft_max_rel_diff``: the largest
+  difference between the FFT and the direct output over all rounds, relative
+  to the direct output's sup;
 - the numpy and scipy versions.
 
 With ``--layers`` the script only
@@ -38,7 +38,6 @@ JSON; the full run calls itself that way.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import platform
@@ -140,17 +139,16 @@ def layer_timings() -> dict:
         )
     out["layer_forward"] = lay
 
-    # the FFT engine comes last, so every timing above runs the same calls in
-    # the same order in a checkout without it
-    if "exact" in inspect.signature(convolve).parameters:
-        fft, diff = {}, {}
-        for key, f, lam in conv_cases():
-            fft[key] = _timed(lambda: convolve(f, lam, exact=False))
-            want = convolve(f, lam).values
-            got = convolve(f, lam, exact=False).values
-            diff[key] = float(np.abs(got - want).max() / np.abs(want).max())
-        out["convolve_fft"] = fft
-        out["convolve_fft_max_rel_diff"] = diff
+    # the FFT engine comes last, as in every earlier BENCH_*.json, so the
+    # timings above stay comparable with those files
+    fft, diff = {}, {}
+    for key, f, lam in conv_cases():
+        fft[key] = _timed(lambda: convolve(f, lam, exact=False))
+        want = convolve(f, lam).values
+        got = convolve(f, lam, exact=False).values
+        diff[key] = float(np.abs(got - want).max() / np.abs(want).max())
+    out["convolve_fft"] = fft
+    out["convolve_fft_max_rel_diff"] = diff
     return out
 
 
@@ -197,11 +195,8 @@ def _combine(rounds: dict, name: str) -> dict:
     mine = rounds[name]
 
     def record(get, unit):
-        # get gives None for a checkout without the timing (convolve_fft
-        # without the FFT engine), which takes no part in the win count
         wins = sum(
-            all(get(r) <= get(o[i]) for o in rounds.values() if get(o[i]) is not None)
-            for i, r in enumerate(mine)
+            all(get(r) <= get(o[i]) for o in rounds.values()) for i, r in enumerate(mine)
         )
         values = [get(r) for r in mine]
         return {f"median{unit}": statistics.median(values), f"rounds{unit}": values, "wins": wins}
@@ -212,17 +207,14 @@ def _combine(rounds: dict, name: str) -> dict:
         "stock_audit_s": record(lambda r: r["stock_audit_s"], ""),
     }
     for family in ("convolve", "convolve_fft", "resample_affine", "layer_forward"):
-        if family in mine[0]["layers"]:
-            out[family] = {
-                key: record(lambda r, f=family, k=key: r["layers"].get(f, {}).get(k), "_ms")
-                for key in mine[0]["layers"][family]
-            }
-    diffs = mine[0]["layers"].get("convolve_fft_max_rel_diff")
-    if diffs is not None:
-        out["convolve_fft_max_rel_diff"] = {
-            key: max(r["layers"]["convolve_fft_max_rel_diff"][key] for r in mine)
-            for key in diffs
+        out[family] = {
+            key: record(lambda r, f=family, k=key: r["layers"][f][k], "_ms")
+            for key in mine[0]["layers"][family]
         }
+    out["convolve_fft_max_rel_diff"] = {
+        key: max(r["layers"]["convolve_fft_max_rel_diff"][key] for r in mine)
+        for key in mine[0]["layers"]["convolve_fft_max_rel_diff"]
+    }
     return out
 
 
