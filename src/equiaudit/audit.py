@@ -54,6 +54,7 @@ from .generator import (
 from .grid import (
     Grid,
     GridGeometry,
+    _close,
     embed,
     interior_mask,
     make_bump,
@@ -337,7 +338,7 @@ def norot_counterexample(
     if lam1.grid.sup_norm() == 0.0:
         raise ValueError("lam1 must be nonzero")
     h = lam1.spacing
-    if not np.isclose(h, lam2.spacing, rtol=1e-12, atol=0.0):
+    if not _close(h, lam2.spacing):
         raise GeometryMismatchError("lam1 and lam2 must share spacing")
     inv = T.inverse()
     # displacement must beat the combined support radii with a unit margin
@@ -366,7 +367,7 @@ def norot_counterexample(
     if geometry is None:
         geometry = GridGeometry(min_extent, h)
     else:
-        if not np.isclose(geometry.spacing, h, rtol=1e-12, atol=0.0):
+        if not _close(geometry.spacing, h):
             raise GeometryMismatchError("geometry spacing must match the filters")
         if geometry.extent < min_extent - 1e-12:
             raise DomainFitError(
@@ -374,8 +375,8 @@ def norot_counterexample(
                 f"{best[0]:.4g}; need extent >= {min_extent:.4g}"
             )
     center, rho = _choose_probe_bump(lam1, bump_radius)
-    f0 = make_bump(center, rho, 1.0, geometry)
-    shifted = translate(f0, (-p[0], -p[1]))  # lattice shift, sample-exact
+    # lattice shift, sample-exact; the unshifted bump is not kept
+    shifted = translate(make_bump(center, rho, 1.0, geometry), (-p[0], -p[1]))
     w1 = convolve(shifted, lam1)
     w2 = convolve(shifted, lam2)
     lhs = float(w1.sample_at(-p[0], -p[1])[()])
@@ -434,7 +435,7 @@ def mollifier_recover_filter(
     if geometry is None:
         geometry = GridGeometry(max(need, lam.grid.extent), h)
     else:
-        if not np.isclose(geometry.spacing, h, rtol=1e-12, atol=0.0):
+        if not _close(geometry.spacing, h):
             raise GeometryMismatchError("geometry spacing must match the filter")
         if geometry.extent < need - 1e-12:
             raise DomainFitError(

@@ -66,6 +66,7 @@ from .grid import (
     FeatureStack,
     Grid,
     GridGeometry,
+    _close,
     _nonzero_box,
     embed,
     refine,
@@ -171,7 +172,7 @@ def convolve(f: Grid, lam: Filter, exact: bool = True) -> Grid:
     without a transform.
     """
     kg = lam.grid
-    if not np.isclose(f.spacing, kg.spacing, rtol=1e-12, atol=0.0):
+    if not _close(f.spacing, kg.spacing):
         raise GeometryMismatchError(
             f"image spacing {f.spacing} != filter spacing {kg.spacing}"
         )

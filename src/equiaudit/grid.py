@@ -12,12 +12,19 @@ Conventions used throughout the package:
   1e-9 index units of a lattice node snap to it, so lattice-preserving maps
   (integer shifts, 90-degree rotations) reproduce samples exactly instead of
   picking up unit-last-place interpolation noise.
+- One bilinear core serves ``sample_at``, ``resample_affine`` and the
+  off-lattice ``translate``. It reads an index box of the samples, padded with
+  +0.0, and adds the four weighted corners onto +0.0 in the fixed order
+  (0,0), (0,1), (1,0), (1,1). Since a zero read of either sign then changes
+  no bit, the warps interpolate only near the input's nonzero box, write
+  +0.0 everywhere else, and equal the whole-domain computation bit for bit.
 - Integrals are Riemann sums with weight h^2, accumulated by a fixed
   row-major pairwise reduction so results do not depend on threading.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -65,6 +72,11 @@ def pairwise_sum(a: np.ndarray) -> float:
     return float(flat[0])
 
 
+def _close(a: float, b: float, rel: float = 1e-12) -> bool:
+    """|a - b| <= rel * |b|: numpy.isclose with atol=0 on two Python floats."""
+    return bool(abs(a - b) <= rel * abs(b))
+
+
 def _snap_indices(t: np.ndarray) -> np.ndarray:
     r = np.round(t)
     return np.where(np.abs(t - r) <= _SNAP, r, t)
@@ -82,6 +94,66 @@ def _nonzero_box(values: np.ndarray) -> Optional[Tuple[int, int, int, int]]:
         return None
     cols = np.flatnonzero(nz.any(axis=0))
     return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+
+
+def _index_coords(geometry: "GridGeometry", xs, ys) -> Tuple[np.ndarray, np.ndarray]:
+    """Snapped fractional (row, column) index coordinates of spatial points,
+    broadcast against each other."""
+    h = geometry.spacing
+    m = geometry.half_count
+    col = _snap_indices(np.asarray(xs, dtype=np.float64) / h + m)
+    row = _snap_indices(m - np.asarray(ys, dtype=np.float64) / h)
+    col, row = np.broadcast_arrays(col, row)
+    return row, col
+
+
+def _read_span(t: np.ndarray, n: int) -> Tuple[int, int]:
+    """Half-open range of the indices in [0, n) that bilinear reads at the
+    index coordinates ``t`` touch; all of [0, n) when some coordinate is not
+    finite."""
+    if t.size == 0:
+        return 0, 0
+    lo, hi = float(t.min()), float(t.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return 0, n
+    lo = min(max(0, math.floor(lo)), n)
+    return lo, max(lo, min(n, math.floor(hi) + 2))
+
+
+def _bilinear(
+    values: np.ndarray, box: Tuple[int, int, int, int], row: np.ndarray, col: np.ndarray
+) -> np.ndarray:
+    """Bilinear reads of ``values`` at fractional index coordinates, where
+    every sample outside the half-open index ``box`` (r0, r1, c0, c1) reads
+    as zero.
+
+    The box is copied once with a two-sample +0.0 border, and each floored
+    index is clipped into [r0 - 2, r1] (columns likewise): a corner whose
+    index lies outside the box then reads only border zeros. The four corners
+    are read with one flat index. Each point gets the weights
+    (1-fr)(1-fc), (1-fr)fc, fr(1-fc) and fr*fc, added in the corner order
+    (0,0), (0,1), (1,0), (1,1) onto +0.0, so a zero read of either sign
+    changes no bit: callers may pass any box outside which ``values`` holds
+    only zeros, or only the samples their points read.
+    """
+    r0, r1, c0, c1 = box
+    width = c1 - c0 + 4
+    padded = np.zeros((r1 - r0 + 4, width), dtype=np.float64)
+    padded[2:-2, 2:-2] = values[r0:r1, c0:c1]
+    fl_r = np.floor(row).astype(np.int64)
+    fl_c = np.floor(col).astype(np.int64)
+    fr = row - fl_r
+    fc = col - fl_c
+    flat = (np.clip(fl_r, r0 - 2, r1) - (r0 - 2)) * width
+    flat += np.clip(fl_c, c0 - 2, c1) - (c0 - 2)
+    gr = 1.0 - fr
+    gc = 1.0 - fc
+    out = np.zeros(row.shape, dtype=np.float64)
+    out += gr * gc * padded.take(flat)
+    out += gr * fc * padded.take(flat + 1)
+    out += fr * gc * padded.take(flat + width)
+    out += fr * fc * padded.take(flat + (width + 1))
+    return out[()] if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -125,10 +197,7 @@ class GridGeometry:
         return np.meshgrid(ax, ax[::-1])
 
     def close_to(self, other: "GridGeometry", rel: float = 1e-12) -> bool:
-        return bool(
-            np.isclose(self.spacing, other.spacing, rtol=rel, atol=0.0)
-            and self.size == other.size
-        )
+        return _close(self.spacing, other.spacing, rel) and self.size == other.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,31 +239,18 @@ class Grid:
         return float(self.values[m, m])
 
     def sample_at(self, xs, ys) -> np.ndarray:
-        """Bilinear interpolation at spatial points; reads outside the domain are 0."""
-        h = self.geometry.spacing
-        m = self.geometry.half_count
+        """Bilinear interpolation at spatial points; reads outside the domain are 0.
+
+        Only the rows and columns the points read are copied (see
+        :func:`_bilinear`), so a scalar read copies a 2 x 2 box, not the grid.
+        A point outside the domain reads 0.0 and a non-finite coordinate gives
+        NaN, as on an unbounded zero-extended grid.
+        """
+        row, col = _index_coords(self.geometry, xs, ys)
         n = self.geometry.size
-        col = _snap_indices(np.asarray(xs, dtype=np.float64) / h + m)
-        row = _snap_indices(m - np.asarray(ys, dtype=np.float64) / h)
-        col, row = np.broadcast_arrays(col, row)
-        r0 = np.floor(row).astype(np.int64)
-        c0 = np.floor(col).astype(np.int64)
-        fr = row - r0
-        fc = col - c0
-        out = np.zeros(row.shape, dtype=np.float64)
-        v = self.values
-        for dr, dc, w in (
-            (0, 0, (1.0 - fr) * (1.0 - fc)),
-            (0, 1, (1.0 - fr) * fc),
-            (1, 0, fr * (1.0 - fc)),
-            (1, 1, fr * fc),
-        ):
-            rr = r0 + dr
-            cc = c0 + dc
-            inside = (rr >= 0) & (rr < n) & (cc >= 0) & (cc < n)
-            vals = np.where(inside, v[np.clip(rr, 0, n - 1), np.clip(cc, 0, n - 1)], 0.0)
-            out = out + w * vals
-        return out
+        r0, r1 = _read_span(row, n)
+        c0, c1 = _read_span(col, n)
+        return _bilinear(self.values, (r0, r1, c0, c1), row, col)
 
     def integral(self) -> float:
         h = self.geometry.spacing
@@ -303,26 +359,46 @@ def translate(f: Grid, delta: Sequence[float]) -> Grid:
     """Shift the field by delta: out(x) = f(x - delta).
 
     Lattice deltas are pure index shifts (sample-exact, zero fill at the
-    boundary); anything else goes through bilinear interpolation.
+    boundary); anything else goes through bilinear interpolation, which only
+    interpolates the output samples whose read cell touches f's nonzero box
+    and writes exactly +0.0 everywhere else, the same bits as interpolating
+    the whole domain.
     """
     dx, dy = float(delta[0]), float(delta[1])
     src = None
     if f.source is not None:
         fsrc = f.source
         src = lambda x, y: fsrc(np.asarray(x) - dx, np.asarray(y) - dy)
+    n = f.geometry.size
+    out = np.zeros((n, n), dtype=np.float64)
     sx = _lattice_steps(dx, f.spacing)
     sy = _lattice_steps(dy, f.spacing)
     if sx is not None and sy is not None:
-        n = f.geometry.size
-        out = np.zeros((n, n), dtype=np.float64)
         # out[i, j] = values[i + sy, j - sx] where that index exists
         a, b = max(0, -sy), min(n, n - sy)
         c, d = max(0, sx), min(n, n + sx)
         if a < b and c < d:
             out[a:b, c:d] = f.values[a + sy : b + sy, c - sx : d - sx]
         return Grid(f.geometry, out, source=src)
-    X, Y = f.geometry.coords()
-    return Grid(f.geometry, f.sample_at(X - dx, Y - dy), source=src)
+    box = _nonzero_box(f.values)
+    if box is not None:
+        # out[i, j] reads f at index (i + dy/h, j - dx/h). With kc = floor(dx/h),
+        # column j reads columns j - kc - 1 and j - kc, the second only with
+        # weight 0 when the read snaps to the lattice, so only j in
+        # [c0 + kc, c1 + kc] can read a nonzero sample; rows likewise. Rounding
+        # in the read index is far below the snap tolerance, which absorbs it.
+        r0, r1, c0, c1 = box
+        kr = math.floor(-dy / f.spacing)
+        kc = math.floor(dx / f.spacing)
+        a, b = min(max(0, r0 + kr), n), min(max(0, r1 + kr + 1), n)
+        c, d = min(max(0, c0 + kc), n), min(max(0, c1 + kc + 1), n)
+        if a < b and c < d:
+            ax = f.geometry.axis()
+            row, col = _index_coords(
+                f.geometry, ax[c:d][np.newaxis, :] - dx, ax[::-1][a:b][:, np.newaxis] - dy
+            )
+            out[a:b, c:d] = _bilinear(f.values, box, row, col)
+    return Grid(f.geometry, out, source=src)
 
 
 def resample_affine(f: Grid, T, geometry: Optional[GridGeometry] = None) -> Grid:
@@ -335,8 +411,10 @@ def resample_affine(f: Grid, T, geometry: Optional[GridGeometry] = None) -> Grid
     inside the image under T of f's nonzero bounding box (grown by two
     samples) are interpolated, and every other output sample is exactly +0.0,
     which is what interpolating four zero reads gives. The interpolated
-    samples get the same arithmetic as on the full grid, so the result is the
-    same bit for bit.
+    samples get the same arithmetic as on the full grid (the same weights,
+    the corners added onto +0.0 in the order (0,0), (0,1), (1,0), (1,1)), and
+    a read outside f's box gives 0.0 of either sign, which changes no bit, so
+    the result is the same bit for bit.
     """
     inv = T.inverse()  # raises SingularMapError for singular T
     geom = f.geometry if geometry is None else geometry
@@ -358,10 +436,13 @@ def resample_affine(f: Grid, T, geometry: Optional[GridGeometry] = None) -> Grid
         return Grid(f.geometry, f.values, source=f.source)
     box = _nonzero_box(f.values)
     a, b, c, d = (0, 0, 0, 0) if box is None else _warped_box(box, f.geometry, T, geom)
-    ax = geom.axis()
-    X, Y = np.meshgrid(ax[c:d], ax[::-1][a:b])
     out = np.zeros((geom.size, geom.size), dtype=np.float64)
-    out[a:b, c:d] = f.sample_at(inv.a * X + inv.b * Y, inv.c * X + inv.d * Y)
+    if a < b and c < d:
+        ax = geom.axis()
+        X = ax[c:d][np.newaxis, :]
+        Y = ax[::-1][a:b][:, np.newaxis]
+        row, col = _index_coords(f.geometry, inv.a * X + inv.b * Y, inv.c * X + inv.d * Y)
+        out[a:b, c:d] = _bilinear(f.values, box, row, col)
     return Grid(geom, out, source=src)
 
 
@@ -454,7 +535,7 @@ def subsample(f: Grid, factor: int) -> Grid:
 
 def embed(f: Grid, geometry: GridGeometry) -> Grid:
     """Zero-pad onto a larger geometry with the same spacing (sample-exact)."""
-    if not np.isclose(f.spacing, geometry.spacing, rtol=1e-12, atol=0.0):
+    if not _close(f.spacing, geometry.spacing):
         raise GeometryMismatchError(
             f"embed requires matching spacing, got {f.spacing} vs {geometry.spacing}"
         )
@@ -473,7 +554,11 @@ def interior_mask(geometry: GridGeometry, margin: float, warp=None) -> np.ndarra
     the trust condition for fields produced by resampling with ``warp``.
     """
     lim = geometry.extent - margin + 1e-9 * geometry.spacing
-    X, Y = geometry.coords()
+    # the 1-D axes broadcast to the values of the coords() meshes, without
+    # holding two whole-domain arrays
+    ax = geometry.axis()
+    X = ax[np.newaxis, :]
+    Y = ax[::-1, np.newaxis]
     mask = (np.abs(X) <= lim) & (np.abs(Y) <= lim)
     if warp is not None:
         inv = warp.inverse()

@@ -307,11 +307,23 @@ def parse_transform(spec: str) -> LinearMap2:
 
     Forms: rot:<degrees>, scale:<sx>[,<sy>], shear:<k>, reflect:<axis-degrees>,
     mat:a,b,c,d, and conj:<B-spec>:<inner-spec> for B . inner . B^-1.
-    Singular maps are rejected here so config errors surface before any work.
+    Singular maps, maps whose det is not finite and maps whose inverse is
+    singular (or not finite) are rejected here, so config errors surface
+    before any work.
     """
     T = _parse_transform_any(spec)
+    if not math.isfinite(T.det):
+        raise ValueError(f"malformed transform spec {spec!r}: det is not finite")
     if abs(T.det) <= _SING_TOL:
         raise ValueError(f"malformed transform spec {spec!r}: map is singular")
+    try:
+        inv = T.inverse()
+    except ValueError:  # an entry of the inverse overflows
+        inv = None
+    if inv is None or not abs(inv.det) > _SING_TOL:
+        raise ValueError(
+            f"malformed transform spec {spec!r}: inverse map is singular or not finite"
+        )
     return T
 
 

@@ -66,6 +66,25 @@ def test_classify_rejects_malformed_and_singular(capsys):
         assert err.startswith("equiaudit:")
 
 
+@pytest.mark.parametrize("spec", ["scale:1e300", "scale:1e7", "mat:1e300,1e300,1,1e300"])
+def test_uninvertible_specs_exit_1_naming_the_spec(tmp_path, capsys, spec):
+    # scale:1e300 has det inf; scale:1e7 an inverse of det 1e-14, which the
+    # package's own inverse() would reject halfway through an audit
+    assert main(["classify", spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"equiaudit: malformed transform spec {spec!r}")
+    cfg_path, _ = _write_config(tmp_path, transforms=[spec])
+    assert main(["audit", "--config", str(cfg_path)]) == 1
+    assert f"config error: malformed transform spec {spec!r}" in capsys.readouterr().err
+
+
+def test_classify_far_from_singular_extreme_entries(capsys):
+    # det 1 and an inverse of det 1, however large the entries
+    assert main(["classify", "mat:1e200,0,0,1e-200"]) == 0
+    assert " -> hyperbolic " in capsys.readouterr().out
+
+
 def test_demo_wm_rotation_summary_and_files(tmp_path, capsys):
     out = tmp_path / "wm"
     assert main(["demo", "wm-rotation", "--out", str(out)]) == 0

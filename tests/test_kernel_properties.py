@@ -1,15 +1,17 @@
 """Property tests: the support-bounded kernels against whole-domain loops.
 
-convolve and resample_affine only do work near the input's nonzero support.
-These tests compare them byte for byte against test-local copies of the
-whole-domain loops, on fields and maps drawn by hypothesis, and convolve's
-FFT engine against its direct engine within rounding. The examples are
-derandomized, so every run draws the same ones.
+convolve, resample_affine and the off-lattice translate only do work near
+the input's nonzero support, and sample_at only copies the samples its points
+read. These tests compare them byte for byte against test-local copies of
+the whole-domain loops, on fields, maps, shifts and points drawn by
+hypothesis, and convolve's FFT engine against its direct engine within
+rounding. The examples are derandomized, so every run draws the same ones.
 """
 
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from equiaudit import (
@@ -20,6 +22,7 @@ from equiaudit import (
     embed_filter,
     filter_from_grid,
     resample_affine,
+    translate,
 )
 from equiaudit.transform import LinearMap2
 
@@ -149,11 +152,46 @@ def test_fft_convolve_of_a_zero_input_or_kernel_is_plus_zero_without_a_transform
     assert is_plus_zero(out)
 
 
+def full_grid_sample_at(f: Grid, xs, ys) -> np.ndarray:
+    """Bilinear reads at spatial points with one pass over the points per
+    corner: the corner's indices are clipped into the domain, its read is
+    masked to 0.0 outside it, and the weighted corners are added onto zeros
+    in the order (0,0), (0,1), (1,0), (1,1)."""
+    h = f.spacing
+    m = f.geometry.half_count
+    n = f.geometry.size
+
+    def snapped(t):
+        r = np.round(t)
+        return np.where(np.abs(t - r) <= 1e-9, r, t)
+
+    col = snapped(np.asarray(xs, dtype=np.float64) / h + m)
+    row = snapped(m - np.asarray(ys, dtype=np.float64) / h)
+    col, row = np.broadcast_arrays(col, row)
+    r0 = np.floor(row).astype(np.int64)
+    c0 = np.floor(col).astype(np.int64)
+    fr = row - r0
+    fc = col - c0
+    out = np.zeros(row.shape, dtype=np.float64)
+    for dr, dc, w in (
+        (0, 0, (1.0 - fr) * (1.0 - fc)),
+        (0, 1, (1.0 - fr) * fc),
+        (1, 0, fr * (1.0 - fc)),
+        (1, 1, fr * fc),
+    ):
+        rr = r0 + dr
+        cc = c0 + dc
+        inside = (rr >= 0) & (rr < n) & (cc >= 0) & (cc < n)
+        vals = np.where(inside, f.values[np.clip(rr, 0, n - 1), np.clip(cc, 0, n - 1)], 0.0)
+        out = out + w * vals
+    return out
+
+
 def full_grid_resample(f: Grid, T: LinearMap2, geometry: GridGeometry) -> np.ndarray:
-    """Bilinear sample_at at T^-1 x for every sample x of the output geometry."""
+    """Bilinear reads at T^-1 x for every sample x of the output geometry."""
     X, Y = geometry.coords()
     inv = T.inverse()
-    return f.sample_at(inv.a * X + inv.b * Y, inv.c * X + inv.d * Y)
+    return full_grid_sample_at(f, inv.a * X + inv.b * Y, inv.c * X + inv.d * Y)
 
 
 MAPS = st.one_of(
@@ -190,4 +228,96 @@ def test_resample_affine_matches_full_grid_sample_at_bit_for_bit(data):
         assume(T.matrix.tolist() != [[1.0, 0.0], [0.0, 1.0]])
     got = resample_affine(f, T, geometry=target).values
     want = full_grid_resample(f, T, geom if target is None else target)
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def shifts(draw, geometry: GridGeometry) -> float:
+    """A shift of k + t samples: k moves the support anywhere from wholly off
+    the domain on one side to wholly off it on the other, and t is a lattice
+    (0), near-lattice or off-lattice fraction."""
+    n = geometry.size
+    k = draw(st.integers(-n - 3, n + 3))
+    fractions = st.sampled_from([0.0, 0.5, 1e-10, 1.0 - 1e-10])
+    t = draw(fractions | st.floats(0.0, 1.0, exclude_max=True))
+    return (k + t) * geometry.spacing
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_off_lattice_translate_matches_full_grid_sample_at_bit_for_bit(data):
+    # the interpolating translate only reads near the shifted support; every
+    # output bit, the +0.0 outside it included, must match interpolating the
+    # whole domain
+    geom = data.draw(IMAGE_GEOMETRIES)
+    f = data.draw(fields(geom))
+    delta = (data.draw(shifts(geom)), data.draw(shifts(geom)))
+    h = geom.spacing
+    # a delta within the snap tolerance of the lattice on both axes is an
+    # index shift, not an interpolation
+    assume(any(abs(d / h - round(d / h)) > 1e-9 for d in delta))
+    X, Y = geom.coords()
+    want = full_grid_sample_at(f, X - delta[0], Y - delta[1])
+    assert translate(f, delta).values.tobytes() == want.tobytes()
+
+
+POINTS = st.floats(-2.0, 2.0) | st.sampled_from([0.0, 0.05, -0.8, 0.8, 0.825, 1e300])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_sample_at_matches_full_grid_sample_at_bit_for_bit(data):
+    # sample_at copies only the samples its points read; reads at points in,
+    # on the edge of and outside the domain must match the whole-grid loop,
+    # in value and in shape
+    geom = data.draw(IMAGE_GEOMETRIES)
+    f = data.draw(fields(geom))
+    count = data.draw(st.integers(0, 12))
+    xs = np.array(data.draw(st.lists(POINTS, min_size=count, max_size=count)))
+    ys = np.array(data.draw(st.lists(POINTS, min_size=count, max_size=count)))
+    if data.draw(st.booleans()):
+        xs, ys = xs[:, np.newaxis], ys[np.newaxis, :]
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = f.sample_at(xs, ys)
+        want = full_grid_sample_at(f, xs, ys)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+BUMP_GEOMETRY = GridGeometry(0.8, 0.05)
+
+
+def bump_field() -> Grid:
+    rng = np.random.default_rng(5)
+    vals = np.zeros((BUMP_GEOMETRY.size, BUMP_GEOMETRY.size))
+    vals[10:20, 12:18] = rng.normal(size=(10, 6))
+    return Grid(BUMP_GEOMETRY, vals)
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [(0.0, 0.0), (0.123, -0.456), (-0.81, 0.3), (0.79, 0.79), (-0.4, -0.8)],
+)
+def test_sample_at_a_scalar_point_is_the_reference_scalar(x, y):
+    got = bump_field().sample_at(x, y)
+    want = full_grid_sample_at(bump_field(), x, y)
+    assert type(got) is type(want) is np.float64
+    assert got.tobytes() == want.tobytes()
+
+
+def test_sample_at_points_all_outside_the_domain_read_zero():
+    xs = np.array([-3.0, 0.9, 0.0, 2.5, 1e6])
+    ys = np.array([0.0, 0.1, -0.86, 2.5, -1e6])
+    got = bump_field().sample_at(xs, ys)
+    assert got.tobytes() == full_grid_sample_at(bump_field(), xs, ys).tobytes()
+    assert is_plus_zero(got)
+
+
+def test_sample_at_a_nan_coordinate_gives_nan_like_the_reference():
+    xs = np.array([np.nan, 0.0, -0.2, np.nan])
+    ys = np.array([0.0, np.nan, -0.3, np.nan])
+    with np.errstate(invalid="ignore"):
+        got = bump_field().sample_at(xs, ys)
+        want = full_grid_sample_at(bump_field(), xs, ys)
+    assert np.isnan(got[[0, 1, 3]]).all() and np.isfinite(got[2])
     assert got.tobytes() == want.tobytes()

@@ -209,8 +209,15 @@ def test_parse_transform_rejects_malformed():
         "mat:1,2,3,4,5",
         "scale:1,2,3",
         "mat:1,2,2,4",  # singular
+        "scale:1e300",  # det inf
+        "mat:1e300,1e300,1,1e300",  # det inf - inf
+        "scale:1e7",  # inverse of det 1e-14
+        "mat:1e-311,0,0,1e300",  # det 1e-11, inverse entry 1e300 / 1e-11 overflows
         "",
         "conj:rot:45",
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="malformed transform spec"):
             parse_transform(bad)
+    # huge and tiny entries are fine when the map and its inverse are not singular
+    T = parse_transform("mat:1e200,0,0,1e-200")
+    assert T.det == 1.0 and T.inverse().det == 1.0

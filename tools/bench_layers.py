@@ -3,7 +3,7 @@
 Usage, from the root of a checkout:
 
     python3 tools/bench_layers.py --checkout parent=/path/to/parent \\
-        --checkout change=. --out BENCH_7.json
+        --checkout change=. --out BENCH_9.json
 
 Each checkout is measured with its own ``src/`` on PYTHONPATH by the
 interpreter that runs this script. The layer timings and the audit are
@@ -28,6 +28,9 @@ Per checkout it records:
   (``exact=False``), and ``convolve_fft_max_rel_diff``: the largest
   difference between the FFT and the direct output over all rounds, relative
   to the direct output's sup;
+- ``translate``: per-call times of an off-lattice shift by half a sample
+  along x, the other bilinear caller besides ``resample_affine``, on the
+  same corpus bump;
 - the numpy and scipy versions.
 
 With ``--layers`` the script only
@@ -93,6 +96,7 @@ def layer_timings() -> dict:
         layer_forward,
         random_radial_filter,
         resample_affine,
+        translate,
     )
     from equiaudit.audit import make_corpus
     from equiaudit.transform import parse_transform
@@ -149,6 +153,12 @@ def layer_timings() -> dict:
         diff[key] = float(np.abs(got - want).max() / np.abs(want).max())
     out["convolve_fft"] = fft
     out["convolve_fft_max_rel_diff"] = diff
+
+    # after every timing that earlier BENCH_*.json files hold, for the same
+    # reason
+    geom, bump, _ = inputs(0.01)
+    half = (geom.spacing / 2, 0.0)
+    out["translate"] = {f"n{geom.size}_h/2_bump": _timed(lambda: translate(bump, half))}
     return out
 
 
@@ -206,7 +216,7 @@ def _combine(rounds: dict, name: str) -> dict:
         "scipy": mine[0]["layers"]["scipy"],
         "stock_audit_s": record(lambda r: r["stock_audit_s"], ""),
     }
-    for family in ("convolve", "convolve_fft", "resample_affine", "layer_forward"):
+    for family in ("convolve", "convolve_fft", "resample_affine", "translate", "layer_forward"):
         out[family] = {
             key: record(lambda r, f=family, k=key: r["layers"][f][k], "_ms")
             for key in mine[0]["layers"][family]
