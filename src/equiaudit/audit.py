@@ -378,7 +378,7 @@ def norot_counterexample(
     # lattice shift, sample-exact; the unshifted bump is not kept
     shifted = translate(make_bump(center, rho, 1.0, geometry), (-p[0], -p[1]))
     w1 = convolve(shifted, lam1)
-    w2 = convolve(shifted, lam2)
+    w2 = w1 if lam2 is lam1 else convolve(shifted, lam2)
     lhs = float(w1.sample_at(-p[0], -p[1])[()])
     rhs = float(w2.sample_at(-invp[0], -invp[1])[()])
     scale = w1.sup_norm()
@@ -626,6 +626,50 @@ def _check(name, law, params, residual, verdict, curve=None) -> dict:
     }
 
 
+def _alignment_sweep(
+    ops: Dict[int, OperatorHandle],
+    levels: Sequence[int],
+    corpus: Sequence[Grid],
+    maps: Sequence[LinearMap2],
+) -> Tuple[List[tuple], List[float]]:
+    """The alignment sweep of full_paper_audit, streaming the corpus: at each
+    level one refined entry and its baseline ops[k](f) are alive at a time and
+    serve every map T, with one forward pass of the warped entry shared by
+    alignment (realigned by T^-1) and generator invariance.
+
+    Returns one (residuals, mus, worst) per map: the max residual of each
+    level, the finest-level (mu_plain, mu_warped) pairs and the worst
+    finest-level entry as (index, realigned response, baseline), the first
+    entry winning ties; and the sup norm of every finest-level baseline.
+    """
+    kf = levels[-1]
+    aligners = [T.inverse() for T in maps]
+    res = [dict.fromkeys(levels, 0.0) for _ in maps]
+    mus = [[] for _ in maps]
+    worst = [None] * len(maps)
+    fine_sups = []
+    for k in levels:
+        r_op = ops[k].declared_receptive_radius or 0.0
+        masks = None
+        for i, f in enumerate(corpus):
+            f = refine(f, 2 ** k) if k else f
+            base = ops[k](f)
+            if masks is None:  # once per map and level
+                geom = base.geometry
+                masks = [interior_mask(geom, r_op + geom.spacing, warp=Tg) for Tg in aligners]
+            if k == kf:
+                fine_sups.append(base.sup_norm())
+            for t, (T, Tg, mask) in enumerate(zip(maps, aligners, masks)):
+                warped_out = ops[k](resample_affine(f, T))
+                r, lhs = _realigned_residual(warped_out, base, Tg, mask)
+                if k == kf:
+                    if r > res[t][k] or i == 0:
+                        worst[t] = (i, lhs, base)
+                    mus[t].append((base.origin_value, warped_out.origin_value))
+                res[t][k] = max(res[t][k], r)
+    return list(zip(res, mus, worst)), fine_sups
+
+
 def full_paper_audit(
     model: CnnModel,
     transforms: Sequence[str],
@@ -639,6 +683,12 @@ def full_paper_audit(
     transform, must audit as aligned; every other combination must audit as a
     genuine (floor-level or non-decaying) misalignment. ``consistent`` in the
     report records whether the measured verdicts match that expectation.
+
+    The corpus is streamed through the alignment sweep: at each audited level
+    one refined entry and its baseline response are alive at a time, and
+    serve every transform before the next entry is refined. Only the worst
+    finest-level entry's realigned response and baseline are kept per
+    transform, for the artifacts.
     """
     corpus = tuple(corpus)
     if not corpus:
@@ -654,7 +704,6 @@ def full_paper_audit(
     channel = 0
 
     models = {k: refine_model(model, 2 ** k) if k else model for k in audited}
-    corpora = {k: tuple(refine(f, 2 ** k) for f in corpus) if k else corpus for k in audited}
     # ops feed only laws judged against tol(h) (alignment, generator
     # invariance, contraction), so they run on convolve's FFT engine; every
     # other law below calls the direct engine
@@ -666,7 +715,7 @@ def full_paper_audit(
     # FFT rounding can lift a relu channel that is exactly 0.0 to +-1e-18.
     # It stops at the first nonconstant response, usually the first entry
     exact_op = model_channel_operator(models[kf], channel=channel)
-    direct = (exact_op(f).values for f in corpora[kf])
+    direct = (exact_op(refine(f, 2 ** kf) if kf else f).values for f in corpus)
     first = next(direct)
     c0 = first.flat[0]
     if np.all(first == c0) and all(np.all(v == c0) for v in direct):
@@ -675,13 +724,15 @@ def full_paper_audit(
             f"corpus entry at spacing {spacings[kf]}; a constant feature detects "
             f"nothing, so there is no alignment to audit"
         )
-    baselines = {k: tuple(ops[k](f) for f in corpora[k]) for k in audited}
+    del first  # a finest-level response the sweep does not need
+
+    parsed = [(spec, parse_transform(spec)) for spec in transforms]
+    sweeps, fine_sups = _alignment_sweep(ops, audited, corpus, [T for _, T in parsed])
     hf = spacings[kf]
-    scale = max(max(b.sup_norm() for b in baselines[kf]), 1e-300)
+    scale = max(max(fine_sups), 1e-300)
     tol_fine = tolerance(hf, scale)
     floor = FLOOR_FACTOR * tol_fine
 
-    parsed = [(spec, parse_transform(spec)) for spec in transforms]
     # naturality of a first-layer kernel on an off-center bump, refined once;
     # the aligner-necessity and filter-recovery kernels are read off the same
     # ladder, refine_filter being what refine_model applies to each kernel
@@ -694,7 +745,7 @@ def full_paper_audit(
     checks: List[dict] = []
     artifacts: Dict[str, Grid] = {}
     expectations = []
-    for spec, T in parsed:
+    for (spec, T), (res, mus, (argmax_idx, argmax_lhs, rhs)) in zip(parsed, sweeps):
         cls = classify(T)
         admits = alignment_admits_invariance(T)
         checks.append(
@@ -730,26 +781,8 @@ def full_paper_audit(
             )
         )
 
-        # alignment (T_g = T^-1) and generator invariance share one forward
-        # pass per corpus entry and level; the realigned response of the worst
-        # finest-level entry is kept for the artifacts
-        Tg = T.inverse()
-        res = {}
-        mus = []
-        argmax_idx, argmax_lhs = 0, None
-        for k in audited:
-            res[k] = 0.0
-            r_op = ops[k].declared_receptive_radius or 0.0
-            geom_k = baselines[k][0].geometry
-            mask = interior_mask(geom_k, r_op + geom_k.spacing, warp=Tg)
-            for i, (f, base) in enumerate(zip(corpora[k], baselines[k])):
-                warped_out = ops[k](resample_affine(f, T))
-                r, lhs = _realigned_residual(warped_out, base, Tg, mask)
-                if k == kf:
-                    if r > res[k] or i == 0:
-                        argmax_idx, argmax_lhs = i, lhs
-                    mus.append((base.origin_value, warped_out.origin_value))
-                res[k] = max(res[k], r)
+        # alignment, read off the sweep; the worst finest-level entry's
+        # realigned response and baseline are the artifacts
         aligned = res[kf] <= tol_fine
         ratio = res[kf] / res[0] if res[0] > 0 else math.inf
         floor_confirmed = (not aligned) and (res[kf] >= floor or ratio >= 0.6)
@@ -787,7 +820,6 @@ def full_paper_audit(
                 curve,
             )
         )
-        rhs = baselines[kf][argmax_idx]
         artifacts[f"alignment[{spec}].lhs"] = argmax_lhs
         artifacts[f"alignment[{spec}].rhs"] = rhs
         artifacts[f"alignment[{spec}].diff"] = Grid(
@@ -810,7 +842,7 @@ def full_paper_audit(
         )
 
         # shifts commute with the warp
-        comm_f = corpora[kf][nat_index]
+        comm_f = nat_levels[kf][0]
         comm = commutation_check(T, (hf, 0.0), comm_f)
         comm_scale = max(comm_f.sup_norm(), 1e-300)
         checks.append(
@@ -857,7 +889,7 @@ def full_paper_audit(
                 )
             )
 
-        # generator invariance on the finest-level pass of the alignment loop
+        # generator invariance on the finest-level pass of the alignment sweep
         gen_res, gen_rec = _worst_generator_delta(mus)
         checks.append(
             _check(

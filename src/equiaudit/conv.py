@@ -838,6 +838,8 @@ def build_model(recipe: dict, spacing: float, rng: np.random.Generator) -> CnnMo
         raise ValueError("layers, channels and n_fold must be >= 1")
     if sym not in ("radial", "n_fold", "none"):
         raise ValueError(f"unknown symmetrization {sym!r}")
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"model.kernel_radius must be positive and finite, got {radius!r}")
     geom = GridGeometry(radius, spacing)
 
     def make_kernel() -> Filter:

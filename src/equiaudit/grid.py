@@ -169,8 +169,10 @@ class GridGeometry:
         if not np.isfinite(self.extent) or self.extent <= 0:
             raise ValueError(f"extent must be positive, got {self.extent}")
         ratio = self.extent / self.spacing
-        # a field of this lattice must be addressable as one float64 array
-        if not 8.0 * (2.0 * ratio + 1.0) ** 2 <= np.iinfo(np.intp).max:
+        side = 2.0 * ratio + 1.0
+        # a field of this lattice must be addressable as one float64 array;
+        # a product overflows to inf where ** would raise OverflowError
+        if not 8.0 * side * side <= np.iinfo(np.intp).max:
             raise ValueError(
                 f"spacing {self.spacing} over half-width {self.extent} gives a grid"
                 " too large to address"

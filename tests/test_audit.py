@@ -521,6 +521,35 @@ def test_full_paper_audit_constant_channel_raises():
         full_paper_audit(model, ["shear:1"], bumps, AuditSettings(refinements=2))
 
 
+def test_full_paper_audit_live_memory_does_not_grow_with_the_corpus():
+    # the alignment sweep streams the corpus, so a corpus twice as long keeps
+    # no more refined entries or baselines alive: the traced peak stays within
+    # two finest-level arrays
+    import tracemalloc
+
+    geom = GridGeometry(0.8, 0.04)
+    model = build_model(
+        {"layers": 1, "channels": 1, "kernel_radius": 0.12,
+         "nonlinearity": "identity", "symmetrization": "radial"},
+        spacing=0.04,
+        rng=np.random.default_rng(0),
+    )
+    corpus = make_corpus(geom)
+    settings = AuditSettings(refinements=3)
+
+    def traced_peak(entries):
+        tracemalloc.start()
+        try:
+            full_paper_audit(model, ["rot:90", "shear:1"], entries, settings)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    fine_array = 161 ** 2 * 8
+    growth = traced_peak(corpus + corpus) - traced_peak(corpus)
+    assert growth < 2 * fine_array, growth / fine_array
+
+
 @pytest.mark.filterwarnings("error")
 def test_single_refinement_gives_a_one_point_alignment_curve():
     # one spacing carries no rate information: no rank-deficient fit

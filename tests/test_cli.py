@@ -306,6 +306,9 @@ def test_audit_config_errors_exit_1(tmp_path, capsys):
         # a grid of about 82 EB, more than a 64-bit process can address:
         # GridGeometry rejects it before anything is allocated
         {"geometry": {"spacing": 1e-9}},
+        # so does one whose side overflows a float when squared
+        {"geometry": {"extent": 1e300}},
+        {"model": {"kernel_radius": 1e300}},
         {"geometry": {"refinements": 2.5}},
         {"seed": 2.5},
         {"seed": True},
@@ -318,6 +321,18 @@ def test_audit_config_errors_exit_1(tmp_path, capsys):
         assert "config error" in capsys.readouterr().err
     assert main(["audit", "--config", str(tmp_path / "no_such.json")]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("radius", [0, -0.1, float("nan"), float("inf")])
+def test_audit_bad_kernel_radius_names_the_key(tmp_path, capsys, radius):
+    cfg_path, cfg = _write_config(tmp_path)
+    cfg["model"]["kernel_radius"] = radius
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["audit", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("equiaudit: config error:")
+    assert "model.kernel_radius" in err
+    assert "Traceback" not in err
 
 
 def test_importing_the_cli_loads_no_scipy():

@@ -47,6 +47,9 @@ def test_geometry_rejects_a_grid_too_large_to_address():
         GridGeometry(1.6, 1e-9)
     with pytest.raises(ValueError, match="too large to address"):
         GridGeometry(1e300, 1e-300)
+    # a finite side whose square overflows a float
+    with pytest.raises(ValueError, match="too large to address"):
+        GridGeometry(1e300, 0.04)
     # the largest addressable side is about 1.07e9 samples
     assert GridGeometry(1.0, 2e-9).size == 1_000_000_001
 

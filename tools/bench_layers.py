@@ -3,7 +3,7 @@
 Usage, from the root of a checkout:
 
     python3 tools/bench_layers.py --checkout parent=/path/to/parent \\
-        --checkout change=. --out BENCH_9.json
+        --checkout change=. --out BENCH_10.json
 
 Each checkout is measured with its own ``src/`` on PYTHONPATH by the
 interpreter that runs this script. The layer timings and the audit are
@@ -17,6 +17,14 @@ Per checkout it records:
 - ``stock_audit_s``: wall time of ``python3 -m equiaudit audit --deterministic``
   with the built-in default config, interpreter start-up included: the median
   over rounds, and each round's value;
+- ``stock_audit_peak_rss_mb``: the peak resident memory of that audit's
+  process (its ``ru_maxrss``, read with ``os.wait4``), per round;
+- ``stock_audit_traced_peak_mb``: the ``tracemalloc`` peak of one in-process
+  ``full_paper_audit`` of the built-in default config, in a fresh process.
+  It counts live allocations only, so unlike the resident peak it does not
+  move with the allocator's heap layout;
+- ``depth``: one run each of the default audit at ``refinements`` 4 and 5,
+  with its wall time ``audit_s`` and its ``peak_rss_mb``;
 - ``suite_s``: wall time of one tier-1 pytest run in the checkout, and its
   summary line;
 - ``convolve``, ``resample_affine`` and ``layer_forward``: per-call times,
@@ -35,7 +43,8 @@ Per checkout it records:
 
 With ``--layers`` the script only
 prints one round of layer timings of the package on its own PYTHONPATH, as
-JSON; the full run calls itself that way.
+JSON, and with ``--traced-peak`` the ``tracemalloc`` peak in MB; the full run
+calls itself those ways.
 """
 
 from __future__ import annotations
@@ -62,6 +71,7 @@ RESAMPLE_MAPS = ("shear:1", "rot:45")
 LAYER_CHANNELS = ((1, 1), (2, 2), (4, 4))
 # ten rounds: three cannot tell a 10-20 % difference on a shared machine
 ROUNDS = 10
+DEPTHS = (4, 5)
 MIN_REPEATS = 3
 MAX_REPEATS = 25
 MIN_SECONDS = 1.0
@@ -162,6 +172,30 @@ def layer_timings() -> dict:
     return out
 
 
+def traced_peak_mb() -> float:
+    """tracemalloc peak in MB of one full_paper_audit of the built-in default
+    config; the model and the corpus are built, as cmd_audit builds them,
+    before tracing starts."""
+    import tracemalloc
+
+    import numpy as np
+
+    from equiaudit import AuditSettings, GridGeometry, build_model, full_paper_audit, make_corpus
+    from equiaudit.cli import DEFAULT_CONFIG
+
+    geo, seed = DEFAULT_CONFIG["geometry"], DEFAULT_CONFIG["seed"]
+    model = build_model(DEFAULT_CONFIG["model"], geo["spacing"], np.random.default_rng(seed))
+    corpus = make_corpus(
+        GridGeometry(geo["extent"], geo["spacing"]),
+        seed=seed,
+        include_glyphs=DEFAULT_CONFIG["corpus"]["glyphs"],
+    )
+    settings = AuditSettings(refinements=geo["refinements"], seed=seed)
+    tracemalloc.start()
+    full_paper_audit(model, DEFAULT_CONFIG["transforms"], corpus, settings)
+    return tracemalloc.get_traced_memory()[1] / 2 ** 20
+
+
 def _env(checkout: Path) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(checkout / "src")
@@ -175,14 +209,42 @@ def _round(checkout: Path) -> dict:
         [sys.executable, str(Path(__file__).resolve()), "--layers"],
         env=env, capture_output=True, text=True, check=True,
     )
+    audit_s, rss_mb = _audit(env)
+    return {
+        "layers": json.loads(layers.stdout),
+        "stock_audit_s": audit_s,
+        "stock_audit_peak_rss_mb": rss_mb,
+    }
+
+
+def _audit(env: dict, *args: str) -> tuple:
+    """Wall time and peak resident memory in MB of one default-config
+    ``equiaudit audit`` in a fresh process, with extra CLI ``args``."""
     with tempfile.TemporaryDirectory() as tmp:
         t0 = time.perf_counter()
-        subprocess.run(
-            [sys.executable, "-m", "equiaudit", "audit", "--deterministic", "--out", "out"],
-            cwd=tmp, env=env, capture_output=True, check=True,
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "equiaudit", "audit", "--deterministic", "--out", "out", *args],
+            cwd=tmp, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
-        audit_s = time.perf_counter() - t0
-    return {"layers": json.loads(layers.stdout), "stock_audit_s": audit_s}
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode != 0:
+        raise subprocess.CalledProcessError(proc.returncode, proc.args)
+    return wall, usage.ru_maxrss / 1024.0
+
+
+def _memory(checkout: Path) -> dict:
+    env = _env(checkout)
+    traced = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--traced-peak"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    depth = {}
+    for r in DEPTHS:
+        audit_s, rss_mb = _audit(env, "--refinements", str(r))
+        depth[f"refinements_{r}"] = {"audit_s": audit_s, "peak_rss_mb": rss_mb}
+    return {"stock_audit_traced_peak_mb": float(traced.stdout), "depth": depth}
 
 
 def _suite(checkout: Path) -> dict:
@@ -215,6 +277,7 @@ def _combine(rounds: dict, name: str) -> dict:
         "numpy": mine[0]["layers"]["numpy"],
         "scipy": mine[0]["layers"]["scipy"],
         "stock_audit_s": record(lambda r: r["stock_audit_s"], ""),
+        "stock_audit_peak_rss_mb": record(lambda r: r["stock_audit_peak_rss_mb"], ""),
     }
     for family in ("convolve", "convolve_fft", "resample_affine", "translate", "layer_forward"):
         out[family] = {
@@ -233,9 +296,13 @@ def main() -> int:
     parser.add_argument("--checkout", action="append", default=[], metavar="NAME=DIR")
     parser.add_argument("--out", help="write the JSON here (default: stdout)")
     parser.add_argument("--layers", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--traced-peak", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.layers:
         print(json.dumps(layer_timings()))
+        return 0
+    if args.traced_peak:
+        print(traced_peak_mb())
         return 0
     if not args.checkout:
         parser.error("give at least one --checkout NAME=DIR")
@@ -260,6 +327,7 @@ def main() -> int:
             rounds[name].append(_round(checkout))
     for name, checkout in checkouts:
         report[name] = _combine(rounds, name)
+        report[name].update(_memory(checkout))
         report[name].update(_suite(checkout))
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
