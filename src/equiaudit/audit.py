@@ -29,8 +29,6 @@ from .conv import (
     Filter,
     convolve,
     embed_filter,
-    gaussian_filter,
-    radial_filter,
     refine_filter,
     refine_model,
     smooth_window,
@@ -55,10 +53,10 @@ from .grid import (
     Grid,
     GridGeometry,
     _close,
+    distance,
     embed,
     interior_mask,
     make_bump,
-    pairwise_sum,
     refine,
     render,
     resample_affine,
@@ -158,26 +156,18 @@ def fit_rate(spacings: Sequence[float], residuals: Sequence[float], floor: float
     return float(slope)
 
 
-def _masked_sup(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> float:
-    if not mask.any():
-        return 0.0
-    return float(np.abs(a - b)[mask].max())
-
-
 def alignment_residual(
     op: OperatorHandle,
     T_h: LinearMap2,
     T_g: LinearMap2,
     f: Grid,
     norm: str = "sup",
-    baseline: Optional[Grid] = None,
 ) -> float:
     """Distance between the realigned response to a warped input and the
     plain response: resample(op(resample(f, T_h)), T_g) vs op(f).
 
     Measured over the trusted interior only (operator reads plus the aligner
-    warp must not touch the zero padding). ``baseline`` lets callers reuse a
-    precomputed op(f).
+    warp must not touch the zero padding).
     """
     geom = f.geometry
     h = geom.spacing
@@ -188,9 +178,8 @@ def alignment_residual(
             f"warped content radius {T_h.operator_norm() * r_f:.4g} plus reads "
             f"{r_op + h:.4g} exceeds extent {geom.extent}"
         )
-    baseline = op(f) if baseline is None else baseline
     mask = interior_mask(geom, r_op + h, warp=T_g)
-    return _realigned_residual(op(resample_affine(f, T_h)), baseline, T_g, mask, norm)[0]
+    return _realigned_residual(op(resample_affine(f, T_h)), op(f), T_g, mask, norm)[0]
 
 
 def _realigned_residual(
@@ -201,13 +190,7 @@ def _realigned_residual(
     the interior trusted after the operator's reads and the T_g warp (see
     interior_mask). Returns the residual and the realigned response."""
     lhs = resample_affine(warped_out, T_g)
-    h = baseline.geometry.spacing
-    if norm == "sup":
-        return _masked_sup(lhs.values, baseline.values, mask), lhs
-    if norm == "l1":
-        diff = np.where(mask, np.abs(lhs.values - baseline.values), 0.0)
-        return float(pairwise_sum(diff) * h * h), lhs
-    raise ValueError(f"unknown norm {norm!r}")
+    return distance(lhs, baseline, norm, mask), lhs
 
 
 def naturality_check(
@@ -247,7 +230,7 @@ def _naturality_curve(levels: Sequence[Tuple[Grid, Filter]], T: LinearMap2) -> R
         rhs = convolve(fk, tf)
         margin = max(lamk.support_radius, tf.support_radius) + hk
         mask = interior_mask(fk.geometry, margin, warp=inv)
-        residuals.append(_masked_sup(lhs.values, rhs.values, mask))
+        residuals.append(distance(lhs, rhs, mask=mask))
         if mask.any():
             scale = max(float(np.abs(rhs.values[mask]).max()), 1e-300)
         spacings.append(hk)
@@ -264,7 +247,7 @@ def commutation_check(T: LinearMap2, delta: Sequence[float], f: Grid) -> float:
     """
     a = resample_affine(translate(f, delta), T)
     b = translate(resample_affine(f, T), T.matvec(delta))
-    return float(np.abs(a.values - b.values).max())
+    return distance(a, b)
 
 
 def filter_fixed_point_residual(lam: Filter, T: LinearMap2) -> float:
@@ -281,8 +264,7 @@ def filter_fixed_point_residual(lam: Filter, T: LinearMap2) -> float:
     geom = max(lam.grid.geometry, tf.grid.geometry, key=lambda g: g.extent)
     a = embed_filter(lam, geom).grid
     b = embed_filter(tf, geom).grid
-    h = geom.spacing
-    return float(pairwise_sum(np.abs(a.values - b.values)) * h * h / norm1)
+    return distance(a, b, "l1") / norm1
 
 
 def _choose_probe_bump(lam1: Filter, bump_radius: float) -> Tuple[Tuple[float, float], float]:
@@ -456,7 +438,7 @@ def mollifier_recover_filter(
         mass = moll.integral()
         moll = Grid(geometry, moll.values / mass)
         smoothed = convolve(moll, lam)
-        err = float(pairwise_sum(np.abs(smoothed.values - target.values)) * h * h)
+        err = distance(smoothed, target, "l1")
         out.append((s, err))
     return tuple(out)
 

@@ -31,7 +31,6 @@ from .audit import (
 from .conv import (
     CnnModel,
     ConvLayer,
-    Filter,
     Nonlinearity,
     build_model,
     convolve,
@@ -43,7 +42,7 @@ from .conv import (
     load_model,
 )
 from .errors import EquiauditError
-from .grid import Grid, GridGeometry, interior_mask, render, resample_affine
+from .grid import Grid, GridGeometry, distance, interior_mask, render, resample_affine
 from .gridio import save_pgm16
 from .transform import LinearMap2, alignment_admits_invariance, classify, parse_transform
 
@@ -271,12 +270,8 @@ def _demo_wm_rotation(out_dir: Path, spacing: float) -> str:
     scale = max(c.sup_norm() for c in resp.channels)
     tol = tolerance(h, scale)
     floor = 10.0 * tol
-
-    def masked(a: Grid, b: Grid) -> float:
-        return float(np.abs(a.values - b.values)[mask].max())
-
-    res_preserve = max(masked(realigned[c], resp.channels[c]) for c in (0, 1))
-    res_swap = max(masked(realigned[c], resp.channels[1 - c]) for c in (0, 1))
+    res_preserve = max(distance(realigned[c], resp.channels[c], mask=mask) for c in (0, 1))
+    res_swap = max(distance(realigned[c], resp.channels[1 - c], mask=mask) for c in (0, 1))
     dumps = {
         "scene": scene,
         "scene_rot180": rotated,

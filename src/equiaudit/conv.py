@@ -362,10 +362,6 @@ class ConvLayer:
     def out_channels(self) -> int:
         return len(self.kernels[0])
 
-    @property
-    def kernel_geometry(self) -> GridGeometry:
-        return self.kernels[0][0].grid.geometry
-
 
 @dataclass(frozen=True, eq=False)
 class CnnModel:
@@ -840,6 +836,11 @@ def build_model(recipe: dict, spacing: float, rng: np.random.Generator) -> CnnMo
         raise ValueError(f"unknown symmetrization {sym!r}")
     if not (math.isfinite(radius) and radius > 0.0):
         raise ValueError(f"model.kernel_radius must be positive and finite, got {radius!r}")
+    if radius < spacing:
+        raise ValueError(
+            f"model.kernel_radius {radius!r} is below the spacing {spacing!r}: "
+            f"a kernel needs at least one sample on each side of its center"
+        )
     geom = GridGeometry(radius, spacing)
 
     def make_kernel() -> Filter:

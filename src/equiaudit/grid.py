@@ -476,21 +476,32 @@ def _warped_box(
     return tuple(int(v) for v in np.clip(bounds, 0, nt))
 
 
-def distance(f: Grid, g: Grid, norm: str = "sup") -> float:
-    """Distance between two same-geometry fields: 'sup' = max abs difference,
-    'l1' = h^2-weighted absolute-difference sum (fixed reduction order)."""
+def distance(
+    f: Grid, g: Grid, norm: str = "sup", mask: Optional[np.ndarray] = None
+) -> float:
+    """The package's one residual: how far apart two same-geometry fields are,
+    over the samples where the boolean ``mask`` is set (every sample when it
+    is None).
+
+    'sup' = max |f - g| over those samples, 0.0 for an empty mask;
+    'l1' = h^2-weighted sum of |f - g| with every unmasked sample counted as
+    +0.0, in pairwise_sum's fixed reduction order.
+    """
     if not f.geometry.close_to(g.geometry):
         raise GeometryMismatchError(
             f"cannot compare geometries {f.geometry} and {g.geometry}"
         )
-    diff = np.abs(f.values - g.values)
     key = norm.lower()
+    if key not in ("sup", "l1"):
+        raise ValueError(f"unknown norm {norm!r}; expected 'sup' or 'l1'")
+    diff = np.subtract(f.values, g.values)
+    np.abs(diff, out=diff)
+    if mask is not None:
+        diff *= mask  # |d| * False is +0.0, so the max and sum ignore it
     if key == "sup":
         return float(diff.max())
-    if key == "l1":
-        h = f.geometry.spacing
-        return pairwise_sum(diff) * h * h
-    raise ValueError(f"unknown norm {norm!r}; expected 'sup' or 'l1'")
+    h = f.geometry.spacing
+    return pairwise_sum(diff) * h * h
 
 
 def support_estimate(f: Grid, threshold: float) -> SupportEstimate:

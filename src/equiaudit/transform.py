@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import SingularMapError, TransformClassError
+from .errors import SingularMapError
 
 __all__ = [
     "LinearMap2",
@@ -74,13 +74,6 @@ class LinearMap2:
         t = 2.0 * math.radians(axis_degrees)
         co, si = _snap(math.cos(t)), _snap(math.sin(t))
         return cls(co, si, si, -co)
-
-    @classmethod
-    def from_matrix(cls, m) -> "LinearMap2":
-        m = np.asarray(m, dtype=np.float64)
-        if m.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-        return cls(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
 
     @property
     def matrix(self) -> np.ndarray:

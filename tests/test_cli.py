@@ -323,7 +323,8 @@ def test_audit_config_errors_exit_1(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("radius", [0, -0.1, float("nan"), float("inf")])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("radius", [0, -0.1, float("nan"), float("inf"), 0.01, 1e-300])
 def test_audit_bad_kernel_radius_names_the_key(tmp_path, capsys, radius):
     cfg_path, cfg = _write_config(tmp_path)
     cfg["model"]["kernel_radius"] = radius

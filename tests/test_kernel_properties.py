@@ -5,7 +5,8 @@ the input's nonzero support, and sample_at only copies the samples its points
 read. These tests compare them byte for byte against test-local copies of
 the whole-domain loops, on fields, maps, shifts and points drawn by
 hypothesis, and convolve's FFT engine against its direct engine within
-rounding. The examples are derandomized, so every run draws the same ones.
+rounding, and the masked residual of distance against the inline formulas
+it replaced. The examples are derandomized, so every run draws the same ones.
 """
 
 from unittest import mock
@@ -19,8 +20,10 @@ from equiaudit import (
     Grid,
     GridGeometry,
     convolve,
+    distance,
     embed_filter,
     filter_from_grid,
+    pairwise_sum,
     resample_affine,
     translate,
 )
@@ -321,3 +324,38 @@ def test_sample_at_a_nan_coordinate_gives_nan_like_the_reference():
         want = full_grid_sample_at(bump_field(), xs, ys)
     assert np.isnan(got[[0, 1, 3]]).all() and np.isfinite(got[2])
     assert got.tobytes() == want.tobytes()
+
+
+def reference_distance(a: Grid, b: Grid, norm: str, mask) -> float:
+    """The residual formulas distance replaced: the masked sup of the audit
+    (0.0 for an empty mask) and the masked L1 that zeroes unmasked samples
+    with np.where before the pairwise sum."""
+    diff = np.abs(a.values - b.values)
+    if mask is None:
+        mask = np.ones(diff.shape, dtype=bool)
+    if norm == "sup":
+        return float(diff[mask].max()) if mask.any() else 0.0
+    h = a.spacing
+    return float(pairwise_sum(np.where(mask, diff, 0.0)) * h * h)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_masked_distance_matches_the_inline_formulas_bit_for_bit(data):
+    geom = data.draw(IMAGE_GEOMETRIES)
+    f = data.draw(fields(geom))
+    g = data.draw(fields(geom))
+    norm = data.draw(st.sampled_from(["sup", "l1"]))
+    kind = data.draw(st.sampled_from(["none", "empty", "full", "random"]))
+    shape = f.values.shape
+    if kind == "none":
+        mask = None
+    elif kind == "random":
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        mask = rng.random(shape) < data.draw(st.sampled_from([0.05, 0.5, 0.95]))
+    else:
+        mask = np.full(shape, kind == "full")
+    got = distance(f, g, norm, mask)
+    want = reference_distance(f, g, norm, mask)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
