@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -583,28 +583,14 @@ def _json_safe(x):
     return x
 
 
-def _curve_json(curve: Optional[ResidualCurve]) -> Optional[dict]:
-    if curve is None:
-        return None
-    return _json_safe(
-        {
-            "spacings": list(curve.spacings),
-            "residuals": list(curve.residuals),
-            "fitted_rate": curve.fitted_rate,
-            "scale": curve.scale,
-            "floor": curve.floor,
-        }
-    )
-
-
 def _check(name, law, params, residual, verdict, curve=None) -> dict:
     return {
         "name": name,
         "paper_ref": law,
-        "params": _json_safe(params),
-        "residual": _json_safe(residual),
+        "params": params,
+        "residual": residual,
         "verdict": verdict,
-        "spacing_curve": _curve_json(curve),
+        "spacing_curve": asdict(curve) if curve is not None else None,
     }
 
 
@@ -985,12 +971,12 @@ def full_paper_audit(
             "floor": floor,
             "scale": scale,
         },
-        "expectations": _json_safe(expectations),
+        "expectations": expectations,
         "consistent": consistent,
-        "checks": _json_safe(checks),
+        "checks": checks,
         "scope": (
             "Aligner necessity is demonstrated over the finite candidate aligner "
             "set and the fixed corpus, not over all conceivable operators."
         ),
     }
-    return AuditResult(report=report, artifacts=artifacts)
+    return AuditResult(report=_json_safe(report), artifacts=artifacts)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -461,6 +462,28 @@ def test_full_paper_audit_contraction_direction():
     assert mixed["verdict"] == "not_applicable"
     assert list(mixed["params"]) == ["note"]
     assert mixed["residual"] == 0.0
+
+
+def _leaf_types(x):
+    if isinstance(x, dict):
+        return {type(k) for k in x}.union(*map(_leaf_types, x.values()))
+    if isinstance(x, list):
+        return set().union(*map(_leaf_types, x))
+    return {type(x)}
+
+
+@pytest.mark.parametrize("refinements", [1, 2])
+def test_full_paper_audit_report_is_json_safe(refinements):
+    # the identity gives an infinite fine-to-coarse ratio and skips the
+    # aligner check, and scale:3,0.5 has no contraction sequence: every value
+    # is a plain JSON value that survives a strict round trip
+    corpus = make_corpus(GridGeometry(1.2, 0.05), seed=0)
+    specs = ["mat:1,0,0,1", "shear:1", "scale:3,0.5"]
+    report = full_paper_audit(
+        _small_audit_model(), specs, corpus, AuditSettings(refinements=refinements)
+    ).report
+    assert json.loads(json.dumps(report, allow_nan=False)) == report
+    assert _leaf_types(report) <= {str, int, float, bool, type(None)}
 
 
 def _two_layer_audit_model():

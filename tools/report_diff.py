@@ -12,6 +12,9 @@ directory of its own. The cases are ``equiaudit audit --deterministic`` on:
 - the built-in default config at ``refinements: 4``;
 - ``deep_audit`` with relu layers at seeds 0 and 2 (seed 2 has a constant
   channel and exits 1);
+- the built-in default config with ``--model-file``, a model file that the
+  parent checkout writes once for both sides (the default recipe at spacing
+  0.04, seed 0);
 
 and both ``equiaudit demo`` figures at spacing 0.02. A case is identical when
 stdout, stderr, the exit code and every file of its output directory
@@ -32,6 +35,13 @@ RUN_PY = Path(__file__).resolve().parent.parent / "auditbench" / "run.py"
 AUDIT_SEEDS = (0, 11)
 RELU_SEEDS = (0, 2)
 DEMO_SPACING = "0.02"
+WRITE_MODEL = (
+    "import sys\n"
+    "from numpy.random import default_rng\n"
+    "from equiaudit import build_model, save_model\n"
+    "from equiaudit.cli import DEFAULT_CONFIG\n"
+    "save_model(build_model(DEFAULT_CONFIG['model'], 0.04, default_rng(0)), sys.argv[1])\n"
+)
 
 
 def read_workloads(path=RUN_PY):
@@ -44,7 +54,7 @@ def read_workloads(path=RUN_PY):
     raise SystemExit(f"report_diff: no WORKLOADS in {path}")
 
 
-def cases():
+def cases(model_file):
     """(name, config or None, CLI arguments after the subcommand's name)."""
     workloads = read_workloads()
     out = []
@@ -56,9 +66,16 @@ def cases():
     relu = dict(deep, model=dict(deep["model"], nonlinearity="relu"))
     for seed in RELU_SEEDS:
         out.append((f"deep_audit_relu-seed{seed}", dict(relu, seed=seed), ["audit"]))
+    out.append(("default-model-file", {}, ["audit", "--model-file", str(model_file)]))
     for demo in ("wm-rotation", "scale-fov"):
         out.append((f"demo-{demo}", None, ["demo", demo, "--spacing", DEMO_SPACING]))
     return out
+
+
+def _env(checkout):
+    env = {k: v for k, v in os.environ.items() if k != "EQUIAUDIT_SEED"}
+    env["PYTHONPATH"] = str(checkout / "src")
+    return env
 
 
 def run_case(checkout, work, config, args):
@@ -69,9 +86,7 @@ def run_case(checkout, work, config, args):
     if config is not None:
         (work / "config.json").write_text(json.dumps(config, indent=2))
         argv += ["--config", "config.json", "--deterministic"]
-    env = {k: v for k, v in os.environ.items() if k != "EQUIAUDIT_SEED"}
-    env["PYTHONPATH"] = str(checkout / "src")
-    proc = subprocess.run(argv, cwd=work, env=env, capture_output=True)
+    proc = subprocess.run(argv, cwd=work, env=_env(checkout), capture_output=True)
     out = work / "out"
     files = {
         str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()
@@ -97,8 +112,12 @@ def main(argv):
             print(f"report_diff: no equiaudit sources under {checkout / 'src'}", file=sys.stderr)
             return 2
     n_diff = 0
-    all_cases = cases()
     with tempfile.TemporaryDirectory(prefix="report_diff-") as tmp:
+        model_file = Path(tmp) / "model.json"
+        subprocess.run(
+            [sys.executable, "-c", WRITE_MODEL, str(model_file)], env=_env(parent), check=True
+        )
+        all_cases = cases(model_file)
         for name, config, args in all_cases:
             runs = [
                 run_case(checkout, Path(tmp) / side / name, config, args)
