@@ -62,6 +62,7 @@ from .grid import (
     resample_affine,
     support_estimate,
     translate,
+    zeros,
 )
 from .transform import (
     LinearMap2,
@@ -179,18 +180,8 @@ def alignment_residual(
             f"{r_op + h:.4g} exceeds extent {geom.extent}"
         )
     mask = interior_mask(geom, r_op + h, warp=T_g)
-    return _realigned_residual(op(resample_affine(f, T_h)), op(f), T_g, mask, norm)[0]
-
-
-def _realigned_residual(
-    warped_out: Grid, baseline: Grid, T_g: LinearMap2, mask: np.ndarray, norm: str = "sup"
-) -> Tuple[float, Grid]:
-    """Core of the alignment law on an already computed response to the warped
-    input: realign it by T_g and compare it with the baseline over ``mask``,
-    the interior trusted after the operator's reads and the T_g warp (see
-    interior_mask). Returns the residual and the realigned response."""
-    lhs = resample_affine(warped_out, T_g)
-    return distance(lhs, baseline, norm, mask), lhs
+    lhs = resample_affine(op(resample_affine(f, T_h)), T_g)
+    return distance(lhs, op(f), norm, mask)
 
 
 def naturality_check(
@@ -300,8 +291,6 @@ def norot_counterexample(
     lam2: Filter,
     T: LinearMap2,
     geometry: Optional[GridGeometry] = None,
-    floor: float = 1e-4,
-    tol: float = 1e-6,
     bump_radius: float = 0.5,
 ) -> CounterexampleCertificate:
     """Witness that no channel-preserving warp can align a non-identity map.
@@ -311,7 +300,9 @@ def norot_counterexample(
     entirely: lhs = response to the displaced bump read back at -p (nonzero by
     construction), rhs = the same response warped by T and read at -p, i.e.
     the raw response sampled at -T^-1 p, which is exactly zero by disjoint
-    supports. floor and tol are relative to the recorded response scale.
+    supports. The witness is valid when |lhs| > 1e-4 scale and
+    |rhs| <= 1e-6 scale, scale being the response's sup norm; the certificate
+    records both factors as floor and tol.
     """
     if classify(T).kind == "identity":
         raise NoCounterexampleError(
@@ -364,6 +355,7 @@ def norot_counterexample(
     lhs = float(w1.sample_at(-p[0], -p[1])[()])
     rhs = float(w2.sample_at(-invp[0], -invp[1])[()])
     scale = w1.sup_norm()
+    floor, tol = 1e-4, 1e-6
     valid = abs(lhs) > floor * scale and abs(rhs) <= tol * scale
     return CounterexampleCertificate(
         bump_center=center,
@@ -608,14 +600,16 @@ def _alignment_sweep(
     Returns one (residuals, mus, worst) per map: the max residual of each
     level, the finest-level (mu_plain, mu_warped) pairs and the worst
     finest-level entry as (index, realigned response, baseline), the first
-    entry winning ties; and the sup norm of every finest-level baseline.
+    entry winning ties; and, for every finest-level baseline, its sup
+    distance from the response to an empty input, so the channel's constant
+    background (sigma(b) of a bias or a sigmoid) does not count as signal.
     """
     kf = levels[-1]
     aligners = [T.inverse() for T in maps]
     res = [dict.fromkeys(levels, 0.0) for _ in maps]
     mus = [[] for _ in maps]
     worst = [None] * len(maps)
-    fine_sups = []
+    fine_scales = []
     for k in levels:
         r_op = ops[k].declared_receptive_radius or 0.0
         masks = None
@@ -625,17 +619,22 @@ def _alignment_sweep(
             if masks is None:  # once per map and level
                 geom = base.geometry
                 masks = [interior_mask(geom, r_op + geom.spacing, warp=Tg) for Tg in aligners]
+                empty = ops[k](zeros(geom))
             if k == kf:
-                fine_sups.append(base.sup_norm())
+                fine_scales.append(distance(base, empty))
             for t, (T, Tg, mask) in enumerate(zip(maps, aligners, masks)):
                 warped_out = ops[k](resample_affine(f, T))
-                r, lhs = _realigned_residual(warped_out, base, Tg, mask)
+                lhs = resample_affine(warped_out, Tg)
+                r = distance(lhs, base, "sup", mask)
                 if k == kf:
                     if r > res[t][k] or i == 0:
                         worst[t] = (i, lhs, base)
                     mus[t].append((base.origin_value, warped_out.origin_value))
                 res[t][k] = max(res[t][k], r)
-    return list(zip(res, mus, worst)), fine_sups
+                # the next map's forward pass is the sweep's memory peak:
+                # hold no response of this map through it
+                del warped_out, lhs
+    return list(zip(res, mus, worst)), fine_scales
 
 
 def full_paper_audit(
@@ -695,9 +694,9 @@ def full_paper_audit(
     del first  # a finest-level response the sweep does not need
 
     parsed = [(spec, parse_transform(spec)) for spec in transforms]
-    sweeps, fine_sups = _alignment_sweep(ops, audited, corpus, [T for _, T in parsed])
+    sweeps, fine_scales = _alignment_sweep(ops, audited, corpus, [T for _, T in parsed])
     hf = spacings[kf]
-    scale = max(max(fine_sups), 1e-300)
+    scale = max(max(fine_scales), 1e-300)
     tol_fine = tolerance(hf, scale)
     floor = FLOOR_FACTOR * tol_fine
 

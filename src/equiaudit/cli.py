@@ -138,7 +138,10 @@ def _effective_config(args) -> dict:
     if args.refinements is not None:
         raw["geometry"]["refinements"] = args.refinements
     if args.transforms is not None:
-        raw["transforms"] = [s.strip() for s in args.transforms.split(",") if s.strip()]
+        # a comma starts a new spec only before "<letters>:", so the commas
+        # inside scale:3,0.5 or mat:0,-1,1,0 stay with their spec
+        specs = re.split(r",(?=\s*[A-Za-z]+:)", args.transforms)
+        raw["transforms"] = [s.strip() for s in specs if s.strip()]
     if args.model_file is not None:
         raw["model"] = args.model_file
     if args.out is not None:

@@ -504,18 +504,10 @@ def radial_filter(profile, geometry: GridGeometry) -> Filter:
     """lam(x) = profile(|x|), truncated to the inscribed disc |x| <= extent.
 
     profile is a vectorized callable on radius, or a (radii, values) table
-    interpolated linearly (zero beyond the last knot).
+    interpolated linearly (zero beyond the last knot). The elliptic ring
+    filter with B = I: |1 x + 0 y, 0 x + 1 y| is |x, y| bit for bit.
     """
-    prof = _profile_callable(profile)
-    R = geometry.extent
-
-    def src(x, y):
-        r = np.hypot(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
-        return np.where(r <= R, prof(r), 0.0)
-
-    g = render(geometry, src)
-    radius = support_estimate(g, 0.0).radius
-    return Filter(g, radius)
+    return elliptic_ring_filter(LinearMap2.identity(), profile, geometry)
 
 
 def gaussian_filter(sigma: float, geometry: GridGeometry, amplitude: float = 1.0) -> Filter:
@@ -525,14 +517,12 @@ def gaussian_filter(sigma: float, geometry: GridGeometry, amplitude: float = 1.0
     return radial_filter(lambda r: amplitude * np.exp(-(r * r) / s2), geometry)
 
 
-def ring_filter(
-    r0: float, width: float, geometry: GridGeometry, amplitude: float = 1.0
-) -> Filter:
-    """An annular profile peaking at radius r0."""
+def ring_filter(r0: float, width: float, geometry: GridGeometry) -> Filter:
+    """An annular profile of peak 1 at radius r0."""
     if width <= 0:
         raise ValueError("width must be positive")
     w2 = 2.0 * width * width
-    return radial_filter(lambda r: amplitude * np.exp(-((r - r0) ** 2) / w2), geometry)
+    return radial_filter(lambda r: np.exp(-((r - r0) ** 2) / w2), geometry)
 
 
 def impulse_filter(geometry: GridGeometry) -> Filter:
@@ -605,23 +595,27 @@ def smooth_window(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def random_blob_filter(
-    geometry: GridGeometry,
-    radius: float,
-    rng: np.random.Generator,
-    n_blobs: int = 4,
-    amplitude: float = 1.0,
-) -> Filter:
-    """Smooth random filter: a windowed sum of random Gaussian blobs supported
-    inside |x| <= radius. Generically asymmetric."""
+def _unit_peak(g: Grid) -> Grid:
+    """g scaled to sup norm 1, its source included; a zero grid as it is."""
+    peak = g.sup_norm()
+    if peak > 0:
+        scale = 1.0 / peak
+        gsrc = g.source
+        g = Grid(g.geometry, g.values * scale, source=lambda x, y: scale * gsrc(x, y))
+    return g
+
+
+def random_blob_filter(geometry: GridGeometry, radius: float, rng: np.random.Generator) -> Filter:
+    """Smooth random filter: a windowed sum of 4 random Gaussian blobs
+    supported inside |x| <= radius, scaled to peak 1. Generically asymmetric."""
     if radius <= 0 or radius > geometry.extent + _RADIUS_TOL:
         raise ValueError(f"radius {radius} must lie in (0, extent {geometry.extent}]")
-    angles = rng.uniform(0.0, 2.0 * math.pi, size=n_blobs)
-    dists = rng.uniform(0.15, 0.6, size=n_blobs) * radius
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=4)
+    dists = rng.uniform(0.15, 0.6, size=4) * radius
     cxs = dists * np.cos(angles)
     cys = dists * np.sin(angles)
-    sigmas = rng.uniform(0.15, 0.3, size=n_blobs) * radius
-    amps = rng.uniform(0.4, 1.0, size=n_blobs) * rng.choice([-1.0, 1.0], size=n_blobs)
+    sigmas = rng.uniform(0.15, 0.3, size=4) * radius
+    amps = rng.uniform(0.4, 1.0, size=4) * rng.choice([-1.0, 1.0], size=4)
 
     def src(x, y):
         x = np.asarray(x, dtype=np.float64)
@@ -631,29 +625,20 @@ def random_blob_filter(
             acc += a * np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * s * s))
         return acc * smooth_window(np.hypot(x, y) / radius)
 
-    g = render(geometry, src)
-    peak = g.sup_norm()
-    if peak > 0:
-        scale = amplitude / peak
-        gsrc = g.source
-        g = Grid(geometry, g.values * scale, source=lambda x, y: scale * gsrc(x, y))
     # the window zeroes everything at |x| >= radius, so radius is a valid bound
-    return Filter(g, radius)
+    return Filter(_unit_peak(render(geometry, src)), radius)
 
 
 def random_radial_filter(
-    geometry: GridGeometry,
-    radius: float,
-    rng: np.random.Generator,
-    n_modes: int = 3,
-    amplitude: float = 1.0,
+    geometry: GridGeometry, radius: float, rng: np.random.Generator
 ) -> Filter:
-    """Random rotation-invariant filter: windowed random radial rings."""
+    """Random rotation-invariant filter: 3 windowed random radial rings,
+    scaled to peak 1."""
     if radius <= 0 or radius > geometry.extent + _RADIUS_TOL:
         raise ValueError(f"radius {radius} must lie in (0, extent {geometry.extent}]")
-    centers = rng.uniform(0.0, 0.7, size=n_modes) * radius
-    widths = rng.uniform(0.15, 0.35, size=n_modes) * radius
-    amps = rng.uniform(0.4, 1.0, size=n_modes) * rng.choice([-1.0, 1.0], size=n_modes)
+    centers = rng.uniform(0.0, 0.7, size=3) * radius
+    widths = rng.uniform(0.15, 0.35, size=3) * radius
+    amps = rng.uniform(0.4, 1.0, size=3) * rng.choice([-1.0, 1.0], size=3)
 
     def prof(r):
         r = np.asarray(r, dtype=np.float64)
@@ -663,13 +648,7 @@ def random_radial_filter(
         return acc * smooth_window(r / radius)
 
     lam = radial_filter(prof, geometry)
-    peak = lam.grid.sup_norm()
-    if peak > 0:
-        scale = amplitude / peak
-        gsrc = lam.grid.source
-        g = Grid(geometry, lam.grid.values * scale, source=lambda x, y: scale * gsrc(x, y))
-        lam = Filter(g, lam.support_radius)
-    return lam
+    return Filter(_unit_peak(lam.grid), lam.support_radius)
 
 
 def refine_filter(lam: Filter, factor: int) -> Filter:

@@ -196,17 +196,16 @@ def estimate_semilocal_radius(
     base: Grid,
     radii: Sequence[float],
     tol: float,
-    n_probes: int = 32,
-    seed: int = 0,
 ) -> float:
     """Smallest radius in ``radii`` at which mu ignores far-away edits.
 
-    For each candidate r, plant random bumps centered beyond r (plus their own
-    radius, so the perturbation stays strictly outside the disc) and require
-    |mu(base + bump) - mu(base)| <= tol for all probes. Returns inf when every
-    candidate fails. A passing r is evidence, not proof: probes are random.
+    For each candidate r, plant 32 random bumps centered beyond r (plus their
+    own radius, so the perturbation stays strictly outside the disc) and
+    require |mu(base + bump) - mu(base)| <= tol for all of them. Returns inf
+    when every candidate fails. A passing r is evidence, not proof: the
+    probes are random, drawn from a generator seeded with 0.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     geom = base.geometry
     R = geom.extent
     h = geom.spacing
@@ -220,7 +219,7 @@ def estimate_semilocal_radius(
                 f"(extent {R}, spacing {h})"
             )
         ok = True
-        for _ in range(n_probes):
+        for _ in range(32):
             dist = rng.uniform(r + rho + h, R - rho - h)
             ang = rng.uniform(0.0, 2.0 * math.pi)
             amp = rng.uniform(0.5, 1.5) * amp_scale * rng.choice([-1.0, 1.0])
@@ -236,10 +235,9 @@ def estimate_semilocal_radius(
     return math.inf
 
 
-def is_nonconstant(
-    op: OperatorHandle, corpus: Sequence[Grid], tol: float = 1e-9
-) -> Optional[GeneratorRecord]:
-    """First corpus entry whose generator value differs from mu(0), or None.
+def is_nonconstant(op: OperatorHandle, corpus: Sequence[Grid]) -> Optional[GeneratorRecord]:
+    """First corpus entry whose generator value differs from mu(0) by more
+    than 1e-9, or None.
 
     A None result means the generator looked constant on this corpus, which
     disqualifies it as a feature detector.
@@ -249,7 +247,7 @@ def is_nonconstant(
     mu0 = generator_eval(op, zeros(corpus[0].geometry))
     for i, f in enumerate(corpus):
         v = generator_eval(op, f)
-        if abs(v - mu0) > tol:
+        if abs(v - mu0) > 1e-9:
             return GeneratorRecord(
                 f"corpus[{i}]", v, {"baseline": mu0, "delta": v - mu0}
             )

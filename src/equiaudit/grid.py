@@ -72,9 +72,9 @@ def pairwise_sum(a: np.ndarray) -> float:
     return float(flat[0])
 
 
-def _close(a: float, b: float, rel: float = 1e-12) -> bool:
-    """|a - b| <= rel * |b|: numpy.isclose with atol=0 on two Python floats."""
-    return bool(abs(a - b) <= rel * abs(b))
+def _close(a: float, b: float) -> bool:
+    """|a - b| <= 1e-12 |b|: numpy.isclose with atol=0 on two Python floats."""
+    return bool(abs(a - b) <= 1e-12 * abs(b))
 
 
 def _snap_indices(t: np.ndarray) -> np.ndarray:
@@ -198,8 +198,9 @@ class GridGeometry:
         ax = self.axis()
         return np.meshgrid(ax, ax[::-1])
 
-    def close_to(self, other: "GridGeometry", rel: float = 1e-12) -> bool:
-        return _close(self.spacing, other.spacing, rel) and self.size == other.size
+    def close_to(self, other: "GridGeometry") -> bool:
+        """Same size, and spacings equal to within 1e-12 relative."""
+        return _close(self.spacing, other.spacing) and self.size == other.size
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,6 +27,8 @@ __all__ = [
 
 _SING_TOL = 1e-12
 _ENTRY_SNAP = 1e-12
+_CLASSIFY_TOL = 1e-9  # entry tolerance of every comparison classify makes
+_MAX_ORDER = 360  # highest finite order classify looks for
 
 
 def _snap(v: float) -> float:
@@ -177,44 +179,42 @@ def _eigvec_for(T: LinearMap2, lam: complex) -> np.ndarray:
     return v / nrm
 
 
-def _finite_order(T: LinearMap2, tol: float, n_max: int) -> Optional[int]:
+def _finite_order(T: LinearMap2) -> Optional[int]:
     ident = LinearMap2.identity()
-    thresh = tol * max(1.0, T.operator_norm())
+    thresh = _CLASSIFY_TOL * max(1.0, T.operator_norm())
     power = T
-    for k in range(1, n_max + 1):
+    for k in range(1, _MAX_ORDER + 1):
         if power.max_entry_distance(ident) <= thresh:
             return k
         power = power.compose(T)
     return None
 
 
-def classify(T: LinearMap2, tol: float = 1e-9, n_max: int = 360) -> TransformClass:
+def classify(T: LinearMap2) -> TransformClass:
     """Classify by determinant sign and eigenvalue layout.
 
     Branch order: identity, then modulus (|det| away from 1 means some
     eigenvalue leaves the unit circle: contracting_or_expanding), then the
-    unimodular cases split by sign of det and of the discriminant.
+    unimodular cases split by sign of det and of the discriminant. Entries
+    are compared to within 1e-9, and a rotation-conjugate map counts as of
+    finite order when some power up to the 360th is the identity.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
     if abs(T.det) <= _SING_TOL:
         raise SingularMapError(f"cannot classify singular map {T}")
     ident = LinearMap2.identity()
-    if T.max_entry_distance(ident) <= tol:
+    if T.max_entry_distance(ident) <= _CLASSIFY_TOL:
         return TransformClass("identity", order=1, canonical_angle=0.0, conjugator=ident)
 
     dt = T.det
     tr = T.trace
-    if abs(abs(dt) - 1.0) > tol:
+    if abs(abs(dt) - 1.0) > _CLASSIFY_TOL:
         return TransformClass("contracting_or_expanding")
 
     if dt < 0.0:
         # eigenvalues are real with product -1; both on the unit circle
         # exactly when the trace vanishes, i.e. T*T = I.
         t2 = T.compose(T)
-        if t2.max_entry_distance(ident) <= 10.0 * tol * max(1.0, T.operator_norm() ** 2):
+        if t2.max_entry_distance(ident) <= 10.0 * _CLASSIFY_TOL * max(1.0, T.operator_norm() ** 2):
             disc = math.sqrt(max(tr * tr - 4.0 * dt, 0.0))
             vp = _eigvec_for(T, (tr + disc) / 2.0).real
             vm = _eigvec_for(T, (tr - disc) / 2.0).real
@@ -226,14 +226,14 @@ def classify(T: LinearMap2, tol: float = 1e-9, n_max: int = 360) -> TransformCla
         return TransformClass("contracting_or_expanding")
 
     # det = +1 branch
-    if T.max_entry_distance(LinearMap2(-1.0, 0.0, 0.0, -1.0)) <= tol:
+    if T.max_entry_distance(LinearMap2(-1.0, 0.0, 0.0, -1.0)) <= _CLASSIFY_TOL:
         # half-turn: rotation by pi, not a reflection (det = +1 governs)
         return TransformClass(
             "elliptic_finite_order", order=2, canonical_angle=math.pi, conjugator=ident
         )
 
     disc = tr * tr - 4.0 * dt
-    band = 4.0 * tol * max(1.0, abs(tr))
+    band = 4.0 * _CLASSIFY_TOL * max(1.0, abs(tr))
     if disc < -band:
         alpha = tr / 2.0
         beta = math.sqrt(-disc) / 2.0
@@ -244,7 +244,7 @@ def classify(T: LinearMap2, tol: float = 1e-9, n_max: int = 360) -> TransformCla
         scale = math.sqrt(abs(basis.det)) if abs(basis.det) > _SING_TOL else 1.0
         basis = LinearMap2(basis.a / scale, basis.b / scale, basis.c / scale, basis.d / scale)
         conj = basis.inverse() if abs(basis.det) > _SING_TOL else None
-        order = _finite_order(T, tol, n_max)
+        order = _finite_order(T)
         if order is None:
             return TransformClass("elliptic_infinite", canonical_angle=angle, conjugator=conj)
         return TransformClass(

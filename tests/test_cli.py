@@ -286,6 +286,47 @@ def test_audit_config_echo_is_the_filled_in_config(tmp_path, capsys, monkeypatch
     assert type(config["geometry"]["extent"]) is float
 
 
+@pytest.mark.parametrize(
+    "flag, specs",
+    [
+        ("rot:90,scale:3,0.5", ["rot:90", "scale:3,0.5"]),
+        ("mat:0,-1,1,0", ["mat:0,-1,1,0"]),
+        ("conj:scale:3,1:rot:90,shear:1", ["conj:scale:3,1:rot:90", "shear:1"]),
+    ],
+)
+def test_audit_transforms_flag_keeps_commas_inside_a_spec(tmp_path, capsys, flag, specs):
+    cfg_path, _ = _write_config(tmp_path)
+    argv = ["audit", "--config", str(cfg_path), "--refinements", "1", "--transforms", flag]
+    assert main(argv) in (0, 2)
+    capsys.readouterr()
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["config"]["transforms"] == specs
+
+
+@pytest.mark.parametrize(
+    "model, seed",
+    [
+        ({"nonlinearity": "lipschitz_sigmoid(1)"}, 0),
+        ({"nonlinearity": "lipschitz_sigmoid(1)"}, 1),
+        ({"nonlinearity": "relu", "bias_scale": 1}, 1),
+    ],
+    ids=["sigmoid-seed0", "sigmoid-seed1", "relu-bias-seed1"],
+)
+def test_audit_scale_leaves_out_the_constant_background(tmp_path, capsys, model, seed):
+    # the default config with a channel that answers an empty input with a
+    # constant: sigma(0) = 0.5 for the sigmoid, relu(b) for a positive bias.
+    # Counted into the scale, that constant lifts tol(h) above the shear:1
+    # misalignment, which then passes as aligned and makes the run inconsistent
+    (tmp_path / "config.json").write_text(json.dumps({"model": model}))
+    argv = ["audit", "--config", str(tmp_path / "config.json"), "--deterministic"]
+    argv += ["--seed", str(seed), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    assert "consistent: True" in capsys.readouterr().out
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    observed = {e["transform"]: e["observed"] for e in report["expectations"]}
+    assert observed["shear:1"] == "misaligned"
+
+
 def test_audit_constant_channel_is_a_config_error(tmp_path, capsys):
     # relu of a hugely negative bias: channel 0 is 0.0 on every corpus entry
     lam = gaussian_filter(0.06, GridGeometry(0.2, 0.05))

@@ -35,6 +35,7 @@ from equiaudit import (
     ring_filter,
     resample_affine,
     save_model,
+    support_estimate,
     transform_filter,
     translate,
     zeros,
@@ -383,6 +384,42 @@ def test_radial_filter_from_samples_and_truncation():
     assert lam.grid.values[1, 1] > 0.0
     corner = lam.grid.values[0, 0]
     assert corner == 0.0  # |x| = 0.1 sqrt(2) lies outside the inscribed disc
+
+
+def _radial_filter_by_formula(profile, geometry):
+    """radial_filter written out on its own: profile(|x|) rendered inside the
+    inscribed disc, then the support radius measured."""
+    if callable(profile):
+        prof = profile
+    else:
+        radii, values = (np.asarray(a, dtype=np.float64) for a in profile)
+        prof = lambda r: np.interp(r, radii, values, left=values[0], right=0.0)
+    R = geometry.extent
+
+    def src(x, y):
+        r = np.hypot(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
+        return np.where(r <= R, prof(r), 0.0)
+
+    g = render(geometry, src)
+    return Filter(g, support_estimate(g, 0.0).radius)
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        lambda r: np.exp(-(((r - 0.08) / 0.05) ** 2)) - 0.3 * np.exp(-((r / 0.03) ** 2)),
+        ([0.0, 0.05, 0.1, 0.2], [1.0, -0.5, 0.2, 0.0]),
+    ],
+    ids=["callable", "table"],
+)
+def test_radial_filter_matches_its_formula_bit_for_bit(profile):
+    geometry = GridGeometry(0.18, 0.02)
+    got = radial_filter(profile, geometry)
+    want = _radial_filter_by_formula(profile, geometry)
+    for a, b in ((got, want), (refine_filter(got, 2), refine_filter(want, 2))):
+        assert a.grid.geometry == b.grid.geometry
+        assert a.grid.values.tobytes() == b.grid.values.tobytes()
+        assert a.support_radius == b.support_radius
 
 
 def test_n_fold_symmetrize_period_and_errors():

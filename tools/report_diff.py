@@ -12,6 +12,10 @@ directory of its own. The cases are ``equiaudit audit --deterministic`` on:
 - the built-in default config at ``refinements: 4``;
 - ``deep_audit`` with relu layers at seeds 0 and 2 (seed 2 has a constant
   channel and exits 1);
+- ``deep_audit`` with ``n_fold`` and with ``none`` symmetrization at seed 0,
+  the runs that build random blob filters;
+- the built-in default config with a ``lipschitz_sigmoid(1)`` channel at
+  seed 0, whose response to an empty input is not zero;
 - the built-in default config with ``--model-file``, a model file that the
   parent checkout writes once for both sides (the default recipe at spacing
   0.04, seed 0);
@@ -66,6 +70,11 @@ def cases(model_file):
     relu = dict(deep, model=dict(deep["model"], nonlinearity="relu"))
     for seed in RELU_SEEDS:
         out.append((f"deep_audit_relu-seed{seed}", dict(relu, seed=seed), ["audit"]))
+    for sym in ("n_fold", "none"):
+        blobs = dict(deep, model=dict(deep["model"], symmetrization=sym), seed=0)
+        out.append((f"deep_audit_{sym}-seed0", blobs, ["audit"]))
+    sigmoid = {"model": {"nonlinearity": "lipschitz_sigmoid(1)"}, "seed": 0}
+    out.append(("default-sigmoid-seed0", sigmoid, ["audit"]))
     out.append(("default-model-file", {}, ["audit", "--model-file", str(model_file)]))
     for demo in ("wm-rotation", "scale-fov"):
         out.append((f"demo-{demo}", None, ["demo", demo, "--spacing", DEMO_SPACING]))
