@@ -53,6 +53,7 @@ from .grid import (
     Grid,
     GridGeometry,
     _close,
+    _sum_grids,
     distance,
     embed,
     interior_mask,
@@ -472,18 +473,6 @@ def _worst_generator_delta(
 
 # ---------------------------------------------------------------------------
 # test corpus
-
-
-def _sum_grids(grids: Sequence[Grid]) -> Grid:
-    geom = grids[0].geometry
-    vals = grids[0].values.copy()
-    for g in grids[1:]:
-        vals += g.values
-    src = None
-    if all(g.source is not None for g in grids):
-        sources = [g.source for g in grids]
-        src = lambda x, y: sum(s(x, y) for s in sources)
-    return Grid(geom, vals, source=src)
 
 
 def glyph(kind: str, center: Sequence[float], size: float, geometry: GridGeometry) -> Grid:

@@ -35,6 +35,7 @@ from .conv import (
     convolve,
     filter_from_grid,
     json_integer,
+    json_number,
     model_forward,
     radial_filter,
     receptive_radius,
@@ -70,13 +71,6 @@ def _json_object(value, what: str) -> dict:
     return value
 
 
-def _json_number(convert, value, what: str):
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{what} must be a number, got {value!r}") from None
-
-
 def _section(raw: dict, name: str) -> dict:
     merged = dict(DEFAULT_CONFIG[name])
     merged.update(_json_object(raw.get(name, {}), name))
@@ -107,16 +101,19 @@ def _run_config(raw: dict) -> dict:
     corpus = _section(raw, "corpus")
     if not isinstance(corpus["glyphs"], bool):
         raise ValueError(f"corpus.glyphs must be true or false, got {corpus['glyphs']!r}")
+    out = raw.get("out", DEFAULT_CONFIG["out"])
+    if not isinstance(out, str) or not out:
+        raise ValueError(f"out must be a nonempty path string, got {out!r}")
     return {
         "geometry": {
-            "extent": _json_number(float, geo["extent"], "geometry.extent"),
-            "spacing": _json_number(float, geo["spacing"], "geometry.spacing"),
+            "extent": json_number(geo["extent"], "geometry.extent"),
+            "spacing": json_number(geo["spacing"], "geometry.spacing"),
             "refinements": refinements,
         },
         "transforms": [str(s) for s in transforms],
         "model": model,
         "corpus": corpus,
-        "out": str(raw.get("out", DEFAULT_CONFIG["out"])),
+        "out": out,
         "seed": json_integer(raw.get("seed", DEFAULT_CONFIG["seed"]), "seed"),
     }
 

@@ -68,6 +68,7 @@ from .grid import (
     GridGeometry,
     _close,
     _nonzero_box,
+    _sum_grids,
     embed,
     refine,
     render,
@@ -278,8 +279,12 @@ class Nonlinearity:
             raise InvalidModelError(
                 f"unknown nonlinearity {self.kind!r}; expected {self._KINDS}"
             )
-        if self.kind == "lipschitz_sigmoid" and not self.lipschitz > 0:
-            raise InvalidModelError("sigmoid Lipschitz constant must be positive")
+        if self.kind == "lipschitz_sigmoid" and not (
+            math.isfinite(self.lipschitz) and self.lipschitz > 0
+        ):
+            raise InvalidModelError(
+                f"sigmoid Lipschitz constant must be finite and positive, got {self.lipschitz!r}"
+            )
 
     @classmethod
     def parse(cls, text: str) -> "Nonlinearity":
@@ -415,42 +420,28 @@ def _as_stack(x: Union[Grid, FeatureStack, Sequence[Grid]]) -> FeatureStack:
 def layer_forward(
     stack: Union[Grid, FeatureStack], layer: ConvLayer, exact: bool = True
 ) -> FeatureStack:
-    """Every output channel of the layer; ``exact`` picks convolve's engine."""
+    """Every output channel of the layer; ``exact`` picks convolve's engine.
+    Each pre-activation sum_m x_m * k_{m,c} + b_c is summed in ascending m."""
     stack = _as_stack(stack)
-    pre = [_pre_activation(stack, layer, c, exact) for c in range(layer.out_channels)]
-    post = layer.nonlinearity.apply(np.stack(pre, axis=0))
-    geom = stack.geometry
-    return FeatureStack(tuple(Grid(geom, post[c]) for c in range(layer.out_channels)))
-
-
-def _pre_activation(
-    stack: FeatureStack, layer: ConvLayer, c: int, exact: bool = True
-) -> np.ndarray:
-    """sum_m x_m * k_{m,c} + b_c for output channel c, summed in ascending m."""
     if stack.channel_count != layer.in_channels:
         raise GeometryMismatchError(
             f"stack has {stack.channel_count} channels, layer expects {layer.in_channels}"
         )
-    acc = None
-    for m in range(layer.in_channels):
-        g = convolve(stack.channels[m], layer.kernels[m][c], exact=exact)
-        acc = g.values if acc is None else acc + g.values
-    return acc + layer.biases[c]
-
-
-def _channel_forward(
-    stack: Union[Grid, FeatureStack], layer: ConvLayer, c: int, exact: bool = True
-) -> Grid:
-    """Output channel c of layer_forward(stack, layer, exact), bit for bit.
-
-    A pointwise nonlinearity needs only channel c's pre-activation; softmax
-    mixes channels, so it evaluates the whole layer.
-    """
-    stack = _as_stack(stack)
-    if layer.nonlinearity.kind == "softmax":
-        return layer_forward(stack, layer, exact).channels[c]
-    pre = _pre_activation(stack, layer, c, exact)
-    return Grid(stack.geometry, layer.nonlinearity.apply(pre[None])[0])
+    pre = None
+    for c in range(layer.out_channels):
+        acc = None
+        for m in range(layer.in_channels):
+            g = convolve(stack.channels[m], layer.kernels[m][c], exact=exact)
+            acc = g.values if acc is None else acc + g.values
+        if pre is None:
+            pre = np.empty((layer.out_channels,) + acc.shape, dtype=np.float64)
+        np.add(acc, layer.biases[c], out=pre[c])
+    # pre is made after the first convolutions, and the last sum dropped before
+    # the copies, so both reuse freed memory (fresh pages cost 2 ms at n = 641)
+    del g, acc
+    post = layer.nonlinearity.apply(pre)
+    geom = stack.geometry
+    return FeatureStack(tuple(Grid(geom, post[c]) for c in range(layer.out_channels)))
 
 
 def model_forward_stages(
@@ -556,17 +547,10 @@ def n_fold_symmetrize(lam: Filter, T: LinearMap2, n: int) -> Filter:
     halo = lam.support_radius + math.sqrt(2.0) * h
     radius = max(p.operator_norm() * halo for p in powers)
     geom = GridGeometry(max(lam.grid.extent, radius), h)
-    acc = None
-    sources = []
-    for p in powers:
-        term = resample_affine(lam.grid, p, geometry=geom)
-        acc = term.values if acc is None else acc + term.values
-        sources.append(term.source)
-    vals = acc / float(n)
-    src = None
-    if all(s is not None for s in sources):
-        src = lambda x, y: sum(s(x, y) for s in sources) / float(n)
-    return Filter(Grid(geom, vals, source=src), radius)
+    total = _sum_grids([resample_affine(lam.grid, p, geometry=geom) for p in powers])
+    tsrc = total.source
+    src = None if tsrc is None else (lambda x, y: tsrc(x, y) / float(n))
+    return Filter(Grid(geom, total.values / float(n), source=src), radius)
 
 
 def elliptic_ring_filter(B: LinearMap2, profile, geometry: GridGeometry) -> Filter:
@@ -777,6 +761,17 @@ def json_integer(value, what: str) -> int:
     return n
 
 
+def json_number(value, what: str) -> float:
+    """``value`` as a float; a bool, a non-number or a non-finite value is a ValueError."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if isinstance(value, bool) or not math.isfinite(x):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return x
+
+
 def build_model(recipe: dict, spacing: float, rng: np.random.Generator) -> CnnModel:
     """Synthesize a model from a recipe dict:
 
@@ -802,19 +797,19 @@ def build_model(recipe: dict, spacing: float, rng: np.random.Generator) -> CnnMo
     L = json_integer(recipe.get("layers", 1), "model.layers")
     C = json_integer(recipe.get("channels", 1), "model.channels")
     n_fold = json_integer(recipe.get("n_fold", 4), "model.n_fold")
+    radius = json_number(recipe.get("kernel_radius", 0.24), "model.kernel_radius")
+    bias_scale = json_number(recipe.get("bias_scale", 0.0), "model.bias_scale")
     try:
-        radius = float(recipe.get("kernel_radius", 0.24))
-        bias_scale = float(recipe.get("bias_scale", 0.0))
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ValueError(f"bad model recipe value: {e}") from None
-    nl = Nonlinearity.parse(recipe.get("nonlinearity", "identity"))
+        nl = Nonlinearity.parse(recipe.get("nonlinearity", "identity"))
+    except InvalidModelError as e:
+        raise InvalidModelError(f"model.nonlinearity: {e}") from None
     sym = recipe.get("symmetrization", "radial")
     if L < 1 or C < 1 or n_fold < 1:
         raise ValueError("layers, channels and n_fold must be >= 1")
     if sym not in ("radial", "n_fold", "none"):
         raise ValueError(f"unknown symmetrization {sym!r}")
-    if not (math.isfinite(radius) and radius > 0.0):
-        raise ValueError(f"model.kernel_radius must be positive and finite, got {radius!r}")
+    if not radius > 0.0:
+        raise ValueError(f"model.kernel_radius must be positive, got {radius!r}")
     if radius < spacing:
         raise ValueError(
             f"model.kernel_radius {radius!r} is below the spacing {spacing!r}: "

@@ -17,14 +17,15 @@ import numpy as np
 
 from .conv import (
     CnnModel,
+    ConvLayer,
     Filter,
-    _channel_forward,
     convolve,
     layer_forward,
     receptive_radius,
 )
 from .errors import DomainFitError, TransformClassError
 from .grid import (
+    FeatureStack,
     Grid,
     GridGeometry,
     make_bump,
@@ -103,28 +104,33 @@ def model_channel_operator(
 ) -> OperatorHandle:
     """One output channel of the model truncated at ``depth`` layers.
 
-    Only that channel of the last computed layer is evaluated (the whole
-    layer for softmax, which mixes channels); the result equals
-    ``model_forward_stages(f, model)[depth].channels[channel]`` bit for bit.
-    ``exact=False`` runs every convolution on convolve's FFT engine, for
-    checks judged against tol(h) only.
+    The last layer is cut to the audited channel when its nonlinearity is
+    pointwise (softmax mixes channels, so a softmax layer stays whole), and
+    the result equals ``model_forward_stages(f, model)[depth].channels[channel]``
+    bit for bit. ``exact=False`` runs every convolution on convolve's FFT
+    engine, for checks judged against tol(h) only.
     """
     L = model.depth
     depth = L if depth is None else int(depth)
     if not 0 <= depth <= L:
         raise ValueError(f"depth {depth} outside [0, {L}]")
     radius = receptive_radius(model, depth)
+    layers = list(model.layers[:depth])
+    count = layers[-1].out_channels if layers else 1
+    pick = channel
+    if layers and 0 <= channel < count and layers[-1].nonlinearity.kind != "softmax":
+        last = layers[-1]
+        kernels = tuple((row[channel],) for row in last.kernels)
+        layers[-1] = ConvLayer(kernels, (last.biases[channel],), last.nonlinearity)
+        pick = 0
 
     def fn(f: Grid) -> Grid:
-        count = model.layers[depth - 1].out_channels if depth else 1
         if not 0 <= channel < count:
             raise ValueError(f"channel {channel} outside [0, {count})")
-        if depth == 0:
-            return f
-        stack = f
-        for layer in model.layers[: depth - 1]:
+        stack = FeatureStack((f,))
+        for layer in layers:
             stack = layer_forward(stack, layer, exact)
-        return _channel_forward(stack, model.layers[depth - 1], channel, exact)
+        return stack.channels[pick]
 
     return OperatorHandle(fn, radius, f"model[depth={depth},channel={channel}]")
 

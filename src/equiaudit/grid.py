@@ -12,8 +12,9 @@ Conventions used throughout the package:
   1e-9 index units of a lattice node snap to it, so lattice-preserving maps
   (integer shifts, 90-degree rotations) reproduce samples exactly instead of
   picking up unit-last-place interpolation noise.
-- One bilinear core serves ``sample_at``, ``resample_affine`` and the
-  off-lattice ``translate``. It reads an index box of the samples, padded with
+- One bilinear core serves ``sample_at`` and the one warp core, which
+  ``resample_affine``, the off-lattice ``translate`` and the source-free
+  ``refine`` share. It reads an index box of the samples, padded with
   +0.0, and adds the four weighted corners onto +0.0 in the fixed order
   (0,0), (0,1), (1,0), (1,1). Since a zero read of either sign then changes
   no bit, the warps interpolate only near the input's nonzero box, write
@@ -31,6 +32,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainFitError, GeometryMismatchError
+from .transform import LinearMap2
 
 __all__ = [
     "GridGeometry",
@@ -304,6 +306,20 @@ class SupportEstimate:
     radius: float
 
 
+def _sum_grids(grids: Sequence[Grid]) -> Grid:
+    """The sum of same-geometry grids: the first copied, each next one added
+    in order; the source is the sum of the sources when every grid has one."""
+    geom = grids[0].geometry
+    vals = grids[0].values.copy()
+    for g in grids[1:]:
+        vals += g.values
+    src = None
+    if all(g.source is not None for g in grids):
+        sources = [g.source for g in grids]
+        src = lambda x, y: sum(s(x, y) for s in sources)
+    return Grid(geom, vals, source=src)
+
+
 def render(geometry: GridGeometry, source: Callable) -> Grid:
     """Evaluate a vectorized analytic source on the lattice and keep it attached."""
     X, Y = geometry.coords()
@@ -362,62 +378,35 @@ def translate(f: Grid, delta: Sequence[float]) -> Grid:
     """Shift the field by delta: out(x) = f(x - delta).
 
     Lattice deltas are pure index shifts (sample-exact, zero fill at the
-    boundary); anything else goes through bilinear interpolation, which only
-    interpolates the output samples whose read cell touches f's nonzero box
-    and writes exactly +0.0 everywhere else, the same bits as interpolating
-    the whole domain.
+    boundary); anything else is the bilinear warp core with T = identity and
+    offset delta, the same bits as interpolating the whole domain.
     """
     dx, dy = float(delta[0]), float(delta[1])
     src = None
     if f.source is not None:
         fsrc = f.source
         src = lambda x, y: fsrc(np.asarray(x) - dx, np.asarray(y) - dy)
-    n = f.geometry.size
-    out = np.zeros((n, n), dtype=np.float64)
     sx = _lattice_steps(dx, f.spacing)
     sy = _lattice_steps(dy, f.spacing)
     if sx is not None and sy is not None:
+        n = f.geometry.size
+        out = np.zeros((n, n), dtype=np.float64)
         # out[i, j] = values[i + sy, j - sx] where that index exists
         a, b = max(0, -sy), min(n, n - sy)
         c, d = max(0, sx), min(n, n + sx)
         if a < b and c < d:
             out[a:b, c:d] = f.values[a + sy : b + sy, c - sx : d - sx]
         return Grid(f.geometry, out, source=src)
-    box = _nonzero_box(f.values)
-    if box is not None:
-        # out[i, j] reads f at index (i + dy/h, j - dx/h). With kc = floor(dx/h),
-        # column j reads columns j - kc - 1 and j - kc, the second only with
-        # weight 0 when the read snaps to the lattice, so only j in
-        # [c0 + kc, c1 + kc] can read a nonzero sample; rows likewise. Rounding
-        # in the read index is far below the snap tolerance, which absorbs it.
-        r0, r1, c0, c1 = box
-        kr = math.floor(-dy / f.spacing)
-        kc = math.floor(dx / f.spacing)
-        a, b = min(max(0, r0 + kr), n), min(max(0, r1 + kr + 1), n)
-        c, d = min(max(0, c0 + kc), n), min(max(0, c1 + kc + 1), n)
-        if a < b and c < d:
-            ax = f.geometry.axis()
-            row, col = _index_coords(
-                f.geometry, ax[c:d][np.newaxis, :] - dx, ax[::-1][a:b][:, np.newaxis] - dy
-            )
-            out[a:b, c:d] = _bilinear(f.values, box, row, col)
-    return Grid(f.geometry, out, source=src)
+    ident = LinearMap2.identity()
+    return _warp(f, ident, ident, (dx, dy), f.geometry, src)
 
 
 def resample_affine(f: Grid, T, geometry: Optional[GridGeometry] = None) -> Grid:
     """Warp by a 2x2 map: out(x) = f(T^-1 x), bilinear, 0 outside f's domain.
 
     The output keeps f's geometry unless another one is supplied. T = identity
-    returns the samples unchanged, bit for bit.
-
-    Work scales with the input's support, not the domain: only output samples
-    inside the image under T of f's nonzero bounding box (grown by two
-    samples) are interpolated, and every other output sample is exactly +0.0,
-    which is what interpolating four zero reads gives. The interpolated
-    samples get the same arithmetic as on the full grid (the same weights,
-    the corners added onto +0.0 in the order (0,0), (0,1), (1,0), (1,1)), and
-    a read outside f's box gives 0.0 of either sign, which changes no bit, so
-    the result is the same bit for bit.
+    returns the samples unchanged, bit for bit; any other map goes through
+    the warp core, whose work scales with f's support, not the domain.
     """
     inv = T.inverse()  # raises SingularMapError for singular T
     geom = f.geometry if geometry is None else geometry
@@ -437,23 +426,34 @@ def resample_affine(f: Grid, T, geometry: Optional[GridGeometry] = None) -> Grid
         and T.d == 1.0
     ):
         return Grid(f.geometry, f.values, source=f.source)
+    return _warp(f, T, inv, (0.0, 0.0), geom, src)
+
+
+def _warp(f: Grid, T, inv, offset, geometry: GridGeometry, source) -> Grid:
+    """The one off-lattice warp: out(x) = f(T^-1 (x - offset)) on ``geometry``,
+    bilinear, with ``inv`` = T^-1 and ``source`` attached. Only the output
+    samples in ``_warped_box`` can read f's nonzero box; the rest stay +0.0.
+    The offset is subtracted from the 1-D axes, and x - 0.0 is x."""
+    n = geometry.size
+    out = np.zeros((n, n), dtype=np.float64)
     box = _nonzero_box(f.values)
-    a, b, c, d = (0, 0, 0, 0) if box is None else _warped_box(box, f.geometry, T, geom)
-    out = np.zeros((geom.size, geom.size), dtype=np.float64)
-    if a < b and c < d:
-        ax = geom.axis()
-        X = ax[c:d][np.newaxis, :]
-        Y = ax[::-1][a:b][:, np.newaxis]
-        row, col = _index_coords(f.geometry, inv.a * X + inv.b * Y, inv.c * X + inv.d * Y)
-        out[a:b, c:d] = _bilinear(f.values, box, row, col)
-    return Grid(geom, out, source=src)
+    if box is not None:
+        a, b, c, d = _warped_box(box, f.geometry, T, offset, geometry)
+        if a < b and c < d:
+            ax = geometry.axis()
+            X = ax[c:d][np.newaxis, :] - offset[0]
+            Y = ax[::-1][a:b][:, np.newaxis] - offset[1]
+            row, col = _index_coords(f.geometry, inv.a * X + inv.b * Y, inv.c * X + inv.d * Y)
+            out[a:b, c:d] = _bilinear(f.values, box, row, col)
+    return Grid(geometry, out, source=source)
 
 
 def _warped_box(
-    box: Tuple[int, int, int, int], source: GridGeometry, T, target: GridGeometry
+    box: Tuple[int, int, int, int], source: GridGeometry, T, offset, target: GridGeometry
 ) -> Tuple[int, int, int, int]:
     """Half-open (row, column) index box of ``target`` holding T applied to
-    the source index ``box`` grown by two samples, clipped to ``target``.
+    the source index ``box`` grown by two samples and shifted by ``offset``,
+    clipped to ``target``.
 
     A bilinear read at a point whose floored index lies outside the box one
     sample wider touches only zero samples; the second sample and the
@@ -463,8 +463,8 @@ def _warped_box(
     h, m = source.spacing, source.half_count
     xs = ((c0 - 2 - m) * h, (c1 + 1 - m) * h)
     ys = ((m - r1 - 1) * h, (m - r0 + 2) * h)
-    px = [T.a * x + T.b * y for x in xs for y in ys]
-    py = [T.c * x + T.d * y for x in xs for y in ys]
+    px = [T.a * x + T.b * y + offset[0] for x in xs for y in ys]
+    py = [T.c * x + T.d * y + offset[1] for x in xs for y in ys]
     ht, mt, nt = target.spacing, target.half_count, target.size
     rows = (mt - max(py) / ht, mt - min(py) / ht)
     cols = (min(px) / ht + mt, max(px) / ht + mt)
@@ -527,8 +527,8 @@ def refine(f: Grid, factor: int) -> Grid:
     fine = GridGeometry(f.geometry.extent, f.geometry.spacing / int(factor))
     if f.source is not None:
         return render(fine, f.source)
-    X, Y = fine.coords()
-    return Grid(fine, f.sample_at(X, Y))
+    ident = LinearMap2.identity()
+    return _warp(f, ident, ident, (0.0, 0.0), fine, None)
 
 
 def subsample(f: Grid, factor: int) -> Grid:

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+import os
 import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equiaudit import (
     CnnModel,
@@ -365,7 +371,9 @@ def test_audit_flag_overrides_config(tmp_path, capsys):
     assert report["config"]["out"] == str(out2)
 
 
-def test_audit_config_errors_exit_1(tmp_path, capsys):
+def test_audit_config_errors_exit_1(tmp_path, capsys, monkeypatch):
+    # an empty out would write into the working directory
+    monkeypatch.chdir(tmp_path)
     # a model file whose nonlinearity is a number, not a string
     lam = gaussian_filter(0.06, GridGeometry(0.2, 0.05))
     numeric_nl = tmp_path / "numeric_nl.json"
@@ -400,10 +408,17 @@ def test_audit_config_errors_exit_1(tmp_path, capsys):
         {"model": {"layers": True}},
         {"corpus": {"bogus": 1}},
         {"corpus": {"glyphs": "no"}},
+        {"out": None},
+        {"out": 5},
+        {"out": {}},
+        {"out": ""},
     ):
         cfg_path, _ = _write_config(tmp_path, **overrides)
         assert main(["audit", "--config", str(cfg_path)]) == 1, overrides
         assert "config error" in capsys.readouterr().err
+    assert main(["audit", "--config", str(cfg_path), "--out", ""]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "numeric_nl.json"]
     assert main(["audit", "--config", str(tmp_path / "no_such.json")]) == 1
     assert "config error" in capsys.readouterr().err
 
@@ -419,6 +434,85 @@ def test_audit_bad_kernel_radius_names_the_key(tmp_path, capsys, radius):
     assert err.startswith("equiaudit: config error:")
     assert "model.kernel_radius" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("geometry", "extent", True),
+        ("geometry", "spacing", False),
+        ("model", "kernel_radius", True),
+        ("model", "bias_scale", True),
+        ("model", "bias_scale", float("nan")),
+        ("model", "bias_scale", float("inf")),
+        ("model", "bias_scale", float("-inf")),
+        ("model", "nonlinearity", "lipschitz_sigmoid(inf)"),
+    ],
+)
+def test_audit_bad_number_names_the_key(tmp_path, capsys, section, key, value):
+    # a bool is not a number, and a non-finite one names its key instead of
+    # ending in a grid that is not finite
+    cfg_path, cfg = _write_config(tmp_path)
+    cfg[section][key] = value
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["audit", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("equiaudit: config error:")
+    assert f"{section}.{key}" in err
+
+
+TINY_CONFIG = {
+    "geometry": {"extent": 0.4, "spacing": 0.1, "refinements": 1},
+    "transforms": ["rot:90"],
+    "model": {"kernel_radius": 0.12},
+    "corpus": {"glyphs": True},
+    "out": "out",
+}
+# each leaf of a config and the wrong-type JSON values that replace it;
+# a bool stays a valid corpus.glyphs, and "" is wrong only for out
+_WRONG = [None, True, False, [], {}, float("nan"), float("inf"), float("-inf")]
+_LEAVES = [
+    (("geometry", "extent"), _WRONG),
+    (("geometry", "spacing"), _WRONG),
+    (("geometry", "refinements"), _WRONG),
+    (("transforms",), _WRONG),
+    (("transforms", 0), _WRONG),
+    (("model", "layers"), _WRONG),
+    (("model", "channels"), _WRONG),
+    (("model", "kernel_radius"), _WRONG),
+    (("model", "bias_scale"), _WRONG),
+    (("model", "n_fold"), _WRONG),
+    (("model", "nonlinearity"), _WRONG),
+    (("model", "symmetrization"), _WRONG),
+    (("corpus", "glyphs"), [None, [], {}, float("nan"), float("inf")]),
+    (("seed",), _WRONG),
+    (("out",), _WRONG + [""]),
+]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_audit_fuzzed_config_is_a_config_error(data):
+    path, values = data.draw(st.sampled_from(_LEAVES))
+    value = data.draw(st.sampled_from(values))
+    cfg = json.loads(json.dumps(TINY_CONFIG))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    err = io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            Path("config.json").write_text(json.dumps(cfg))
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["audit", "--config", "config.json"])
+        finally:
+            os.chdir(cwd)
+    assert code == 1, (path, value)
+    assert err.getvalue().startswith("equiaudit: config error:"), (path, value)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_importing_the_cli_loads_no_scipy():

@@ -33,6 +33,7 @@ from equiaudit import (
     ring_filter,
     zeros,
 )
+from equiaudit import conv
 from equiaudit.transform import LinearMap2, parse_transform
 
 
@@ -102,6 +103,32 @@ def test_model_channel_operator_matches_the_full_stage(nonlinearity):
             assert np.array_equal(got, stages[depth].channels[c].values)
     with pytest.raises(ValueError):
         model_channel_operator(model, depth=1, channel=2)(f)
+
+
+@pytest.mark.parametrize("last, calls", [("relu", 2 + 2), ("softmax", 2 + 6)])
+def test_model_channel_operator_convolves_only_the_audited_channel(monkeypatch, last, calls):
+    # a 1 -> 2 -> 3 model at channel 1: a pointwise last layer convolves the
+    # two inputs into channel 1 alone, softmax mixes channels and needs all six
+    kg = GridGeometry(0.15, 0.05)
+    k = gaussian_filter(0.06, kg)
+    model = CnnModel((
+        ConvLayer(((k, k),), (0.0, 0.1), Nonlinearity("relu")),
+        ConvLayer(((k, k, k), (k, k, k)), (0.0, 0.2, -0.1), Nonlinearity(last)),
+    ))
+    op = model_channel_operator(model, channel=1)
+    f = make_bump((0.0, 0.1), 0.3, 1.0, GridGeometry(0.8, 0.05))
+    count = [0]
+    inner = conv.convolve
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(conv, "convolve", counting)
+    got = op(f)
+    assert count[0] == calls
+    monkeypatch.undo()
+    assert np.array_equal(got.values, model_forward(f, model).channels[1].values)
 
 
 def test_operator_from_generator_round_trip_is_exact_inside():

@@ -12,6 +12,11 @@ directory of its own. The cases are ``equiaudit audit --deterministic`` on:
 - the built-in default config at ``refinements: 4``;
 - ``deep_audit`` with relu layers at seeds 0 and 2 (seed 2 has a constant
   channel and exits 1);
+- ``deep_audit`` with a softmax last layer at seed 0, whose channel operator
+  evaluates the whole last layer;
+- ``deep_audit`` with relu layers and ``bias_scale: 1`` at seed 1, whose
+  channel operator cuts a last layer with a nonzero bias (seed 0 of that
+  config has a constant channel and exits 1);
 - ``deep_audit`` with ``n_fold`` and with ``none`` symmetrization at seed 0,
   the runs that build random blob filters;
 - the built-in default config with a ``lipschitz_sigmoid(1)`` channel at
@@ -70,6 +75,10 @@ def cases(model_file):
     relu = dict(deep, model=dict(deep["model"], nonlinearity="relu"))
     for seed in RELU_SEEDS:
         out.append((f"deep_audit_relu-seed{seed}", dict(relu, seed=seed), ["audit"]))
+    softmax = dict(deep, model=dict(deep["model"], nonlinearity="softmax"), seed=0)
+    out.append(("deep_audit_softmax-seed0", softmax, ["audit"]))
+    relu_bias = dict(deep, model=dict(relu["model"], bias_scale=1), seed=1)
+    out.append(("deep_audit_relu_bias-seed1", relu_bias, ["audit"]))
     for sym in ("n_fold", "none"):
         blobs = dict(deep, model=dict(deep["model"], symmetrization=sym), seed=0)
         out.append((f"deep_audit_{sym}-seed0", blobs, ["audit"]))
