@@ -13,12 +13,14 @@ Conventions used throughout the package:
   (integer shifts, 90-degree rotations) reproduce samples exactly instead of
   picking up unit-last-place interpolation noise.
 - One bilinear core serves ``sample_at`` and the one warp core, which
-  ``resample_affine``, the off-lattice ``translate`` and the source-free
-  ``refine`` share. It reads an index box of the samples, padded with
-  +0.0, and adds the four weighted corners onto +0.0 in the fixed order
-  (0,0), (0,1), (1,0), (1,1). Since a zero read of either sign then changes
-  no bit, the warps interpolate only near the input's nonzero box, write
-  +0.0 everywhere else, and equal the whole-domain computation bit for bit.
+  ``resample_affine``, ``translate`` and the source-free ``refine`` share.
+  It reads an index box of the samples, padded with +0.0, and adds the four
+  weighted corners onto +0.0 in the fixed order (0,0), (0,1), (1,0), (1,1).
+  Since a zero read of either sign then changes no bit, the warp core
+  interpolates only near the input's nonzero box, writes +0.0 everywhere
+  else, and equals the whole-domain computation bit for bit. A lattice
+  read has weights (1, 0, 0, 0) and returns the sample itself, except that
+  a -0.0 sample reads +0.0.
 - Integrals are Riemann sums with weight h^2, accumulated by a fixed
   row-major pairwise reduction so results do not depend on threading.
 """
@@ -109,19 +111,6 @@ def _index_coords(geometry: "GridGeometry", xs, ys) -> Tuple[np.ndarray, np.ndar
     return row, col
 
 
-def _read_span(t: np.ndarray, n: int) -> Tuple[int, int]:
-    """Half-open range of the indices in [0, n) that bilinear reads at the
-    index coordinates ``t`` touch; all of [0, n) when some coordinate is not
-    finite."""
-    if t.size == 0:
-        return 0, 0
-    lo, hi = float(t.min()), float(t.max())
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        return 0, n
-    lo = min(max(0, math.floor(lo)), n)
-    return lo, max(lo, min(n, math.floor(hi) + 2))
-
-
 def _bilinear(
     values: np.ndarray, box: Tuple[int, int, int, int], row: np.ndarray, col: np.ndarray
 ) -> np.ndarray:
@@ -136,7 +125,7 @@ def _bilinear(
     (1-fr)(1-fc), (1-fr)fc, fr(1-fc) and fr*fc, added in the corner order
     (0,0), (0,1), (1,0), (1,1) onto +0.0, so a zero read of either sign
     changes no bit: callers may pass any box outside which ``values`` holds
-    only zeros, or only the samples their points read.
+    only zeros.
     """
     r0, r1, c0, c1 = box
     width = c1 - c0 + 4
@@ -246,16 +235,13 @@ class Grid:
     def sample_at(self, xs, ys) -> np.ndarray:
         """Bilinear interpolation at spatial points; reads outside the domain are 0.
 
-        Only the rows and columns the points read are copied (see
-        :func:`_bilinear`), so a scalar read copies a 2 x 2 box, not the grid.
-        A point outside the domain reads 0.0 and a non-finite coordinate gives
-        NaN, as on an unbounded zero-extended grid.
+        Every call copies the whole grid once into :func:`_bilinear`'s padded
+        box. A point outside the domain reads 0.0 and a non-finite coordinate
+        gives NaN, as on an unbounded zero-extended grid.
         """
         row, col = _index_coords(self.geometry, xs, ys)
         n = self.geometry.size
-        r0, r1 = _read_span(row, n)
-        c0, c1 = _read_span(col, n)
-        return _bilinear(self.values, (r0, r1, c0, c1), row, col)
+        return _bilinear(self.values, (0, n, 0, n), row, col)
 
     def integral(self) -> float:
         h = self.geometry.spacing
@@ -366,37 +352,21 @@ def make_bump(
     return render(geometry, src)
 
 
-def _lattice_steps(delta: float, spacing: float) -> Optional[int]:
-    t = delta / spacing
-    r = round(t)
-    if abs(t - r) <= _SNAP:
-        return int(r)
-    return None
-
-
 def translate(f: Grid, delta: Sequence[float]) -> Grid:
     """Shift the field by delta: out(x) = f(x - delta).
 
-    Lattice deltas are pure index shifts (sample-exact, zero fill at the
-    boundary); anything else is the bilinear warp core with T = identity and
-    offset delta, the same bits as interpolating the whole domain.
+    The warp core with T = identity and offset delta, the same bits as
+    interpolating the whole domain; a lattice delta reads every sample
+    exactly (zero fill at the boundary). A delta that is not finite is a
+    ValueError.
     """
     dx, dy = float(delta[0]), float(delta[1])
+    if not (math.isfinite(dx) and math.isfinite(dy)):
+        raise ValueError(f"translate delta must be finite, got ({dx}, {dy})")
     src = None
     if f.source is not None:
         fsrc = f.source
         src = lambda x, y: fsrc(np.asarray(x) - dx, np.asarray(y) - dy)
-    sx = _lattice_steps(dx, f.spacing)
-    sy = _lattice_steps(dy, f.spacing)
-    if sx is not None and sy is not None:
-        n = f.geometry.size
-        out = np.zeros((n, n), dtype=np.float64)
-        # out[i, j] = values[i + sy, j - sx] where that index exists
-        a, b = max(0, -sy), min(n, n - sy)
-        c, d = max(0, sx), min(n, n + sx)
-        if a < b and c < d:
-            out[a:b, c:d] = f.values[a + sy : b + sy, c - sx : d - sx]
-        return Grid(f.geometry, out, source=src)
     ident = LinearMap2.identity()
     return _warp(f, ident, ident, (dx, dy), f.geometry, src)
 
@@ -404,9 +374,9 @@ def translate(f: Grid, delta: Sequence[float]) -> Grid:
 def resample_affine(f: Grid, T, geometry: Optional[GridGeometry] = None) -> Grid:
     """Warp by a 2x2 map: out(x) = f(T^-1 x), bilinear, 0 outside f's domain.
 
-    The output keeps f's geometry unless another one is supplied. T = identity
-    returns the samples unchanged, bit for bit; any other map goes through
-    the warp core, whose work scales with f's support, not the domain.
+    The output keeps f's geometry unless another one is supplied. Every map,
+    the identity included, goes through the warp core, whose work scales
+    with f's support, not the domain.
     """
     inv = T.inverse()  # raises SingularMapError for singular T
     geom = f.geometry if geometry is None else geometry
@@ -418,19 +388,11 @@ def resample_affine(f: Grid, T, geometry: Optional[GridGeometry] = None) -> Grid
             ia * np.asarray(x) + ib * np.asarray(y),
             ic * np.asarray(x) + id_ * np.asarray(y),
         )
-    if (
-        geometry is None
-        and T.a == 1.0
-        and T.b == 0.0
-        and T.c == 0.0
-        and T.d == 1.0
-    ):
-        return Grid(f.geometry, f.values, source=f.source)
     return _warp(f, T, inv, (0.0, 0.0), geom, src)
 
 
 def _warp(f: Grid, T, inv, offset, geometry: GridGeometry, source) -> Grid:
-    """The one off-lattice warp: out(x) = f(T^-1 (x - offset)) on ``geometry``,
+    """The one warp: out(x) = f(T^-1 (x - offset)) on ``geometry``,
     bilinear, with ``inv`` = T^-1 and ``source`` attached. Only the output
     samples in ``_warped_box`` can read f's nonzero box; the rest stay +0.0.
     The offset is subtracted from the 1-D axes, and x - 0.0 is x."""
@@ -522,7 +484,7 @@ def support_estimate(f: Grid, threshold: float) -> SupportEstimate:
 def refine(f: Grid, factor: int) -> Grid:
     """Same extent at spacing/factor; re-renders from the analytic source when
     available, otherwise interpolates bilinearly (coarse nodes reproduce exactly)."""
-    if int(factor) != factor or factor < 2:
+    if not float(factor).is_integer() or factor < 2:
         raise ValueError(f"refinement factor must be an integer >= 2, got {factor}")
     fine = GridGeometry(f.geometry.extent, f.geometry.spacing / int(factor))
     if f.source is not None:
@@ -533,9 +495,9 @@ def refine(f: Grid, factor: int) -> Grid:
 
 def subsample(f: Grid, factor: int) -> Grid:
     """Keep every factor-th sample (center preserved); inverse of refine on the nodes."""
+    if not float(factor).is_integer() or factor < 1:
+        raise ValueError(f"subsample factor must be a positive integer, got {factor}")
     factor = int(factor)
-    if factor < 1:
-        raise ValueError("subsample factor must be a positive integer")
     if factor == 1:
         return Grid(f.geometry, f.values, source=f.source)
     m = f.geometry.half_count

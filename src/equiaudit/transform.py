@@ -149,34 +149,16 @@ class TransformClass:
 
     kind is one of identity, elliptic_finite_order, elliptic_infinite,
     parabolic, hyperbolic, reflection_conjugate, contracting_or_expanding.
-    For rotation-conjugate maps, conjugator B satisfies B T B^-1 = R(angle).
     """
 
     kind: str
     order: Optional[int] = None
     canonical_angle: Optional[float] = None
-    conjugator: Optional[LinearMap2] = None
 
     def label(self) -> str:
         if self.kind == "elliptic_finite_order":
             return f"elliptic_finite_order({self.order})"
         return self.kind
-
-
-def _eigvec_for(T: LinearMap2, lam: complex) -> np.ndarray:
-    """A (possibly complex) eigenvector from whichever matrix row is better conditioned."""
-    r1 = (T.a - lam, T.b)
-    r2 = (T.c, T.d - lam)
-    # rows of T - lam*I are (a-lam, b) and (c, d-lam); v = (-row[1], row[0])
-    # satisfies row . v = 0, so it spans the null space; pick the bigger row.
-    if abs(r1[0]) + abs(r1[1]) >= abs(r2[0]) + abs(r2[1]):
-        v = np.array([-r1[1], r1[0]])
-    else:
-        v = np.array([-r2[1], r2[0]])
-    nrm = math.hypot(abs(v[0]), abs(v[1]))  # no squares, so no overflow
-    if nrm == 0.0:
-        return np.array([1.0, 0.0])
-    return v / nrm
 
 
 def _finite_order(T: LinearMap2) -> Optional[int]:
@@ -203,7 +185,7 @@ def classify(T: LinearMap2) -> TransformClass:
         raise SingularMapError(f"cannot classify singular map {T}")
     ident = LinearMap2.identity()
     if T.max_entry_distance(ident) <= _CLASSIFY_TOL:
-        return TransformClass("identity", order=1, canonical_angle=0.0, conjugator=ident)
+        return TransformClass("identity", order=1, canonical_angle=0.0)
 
     dt = T.det
     tr = T.trace
@@ -215,67 +197,27 @@ def classify(T: LinearMap2) -> TransformClass:
         # exactly when the trace vanishes, i.e. T*T = I.
         t2 = T.compose(T)
         if t2.max_entry_distance(ident) <= 10.0 * _CLASSIFY_TOL * max(1.0, T.operator_norm() ** 2):
-            disc = math.sqrt(max(tr * tr - 4.0 * dt, 0.0))
-            vp = _eigvec_for(T, (tr + disc) / 2.0).real
-            vm = _eigvec_for(T, (tr - disc) / 2.0).real
-            basis = LinearMap2(vp[0], vm[0], vp[1], vm[1])
-            conj = None
-            if abs(basis.det) > _SING_TOL:
-                conj = basis.inverse()
-            return TransformClass("reflection_conjugate", order=2, conjugator=conj)
+            return TransformClass("reflection_conjugate", order=2)
         return TransformClass("contracting_or_expanding")
 
     # det = +1 branch
     if T.max_entry_distance(LinearMap2(-1.0, 0.0, 0.0, -1.0)) <= _CLASSIFY_TOL:
         # half-turn: rotation by pi, not a reflection (det = +1 governs)
-        return TransformClass(
-            "elliptic_finite_order", order=2, canonical_angle=math.pi, conjugator=ident
-        )
+        return TransformClass("elliptic_finite_order", order=2, canonical_angle=math.pi)
 
+    # a huge trace overflows disc to +inf, which still reads as hyperbolic
     disc = tr * tr - 4.0 * dt
     band = 4.0 * _CLASSIFY_TOL * max(1.0, abs(tr))
     if disc < -band:
-        alpha = tr / 2.0
-        beta = math.sqrt(-disc) / 2.0
-        angle = math.atan2(beta, alpha)
-        v = _eigvec_for(T, complex(alpha, beta))
-        u, w = v.real, v.imag
-        basis = LinearMap2(u[0], -w[0], u[1], -w[1])
-        scale = math.sqrt(abs(basis.det)) if abs(basis.det) > _SING_TOL else 1.0
-        basis = LinearMap2(basis.a / scale, basis.b / scale, basis.c / scale, basis.d / scale)
-        conj = basis.inverse() if abs(basis.det) > _SING_TOL else None
+        angle = math.atan2(math.sqrt(-disc) / 2.0, tr / 2.0)
         order = _finite_order(T)
         if order is None:
-            return TransformClass("elliptic_infinite", canonical_angle=angle, conjugator=conj)
-        return TransformClass(
-            "elliptic_finite_order", order=order, canonical_angle=angle, conjugator=conj
-        )
+            return TransformClass("elliptic_infinite", canonical_angle=angle)
+        return TransformClass("elliptic_finite_order", order=order, canonical_angle=angle)
     if disc > band:
-        # disc/4 = q^2 - s^2 factored, so neither it nor the roots overflow
-        # when the trace is huge; the small root follows from the product dt
-        q = tr / 2.0
-        s = math.sqrt(dt)
-        root = math.sqrt(max(abs(q) - s, 0.0)) * math.sqrt(abs(q) + s)
-        big = q + math.copysign(root, q)
-        lp, lm = (big, dt / big) if q > 0.0 else (dt / big, big)
-        vp = _eigvec_for(T, lp).real
-        vm = _eigvec_for(T, lm).real
-        basis = LinearMap2(vp[0], vm[0], vp[1], vm[1])
-        conj = basis.inverse() if abs(basis.det) > _SING_TOL else None
-        return TransformClass("hyperbolic", conjugator=conj)
-
+        return TransformClass("hyperbolic")
     # repeated real eigenvalue +-1 and T != +-I: a shear conjugate
-    lam = tr / 2.0
-    nil = LinearMap2(T.a - lam, T.b, T.c, T.d - lam)
-    w = (
-        np.array([1.0, 0.0])
-        if math.hypot(nil.a, nil.c) >= math.hypot(nil.b, nil.d)
-        else np.array([0.0, 1.0])
-    )
-    v = nil.matvec(w)
-    basis = LinearMap2(v[0], w[0], v[1], w[1])
-    conj = basis.inverse() if abs(basis.det) > _SING_TOL else None
-    return TransformClass("parabolic", conjugator=conj)
+    return TransformClass("parabolic")
 
 
 def alignment_admits_invariance(T: LinearMap2) -> str:

@@ -136,6 +136,13 @@ def test_translate_lattice_is_exact_shift():
     assert np.array_equal(back.values[inner], f.values[inner])
 
 
+@pytest.mark.parametrize("delta", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.1)])
+def test_translate_rejects_a_non_finite_delta(delta):
+    f = make_bump((0.0, 0.0), 0.5, 1.0, GridGeometry(1.0, 0.1))
+    with pytest.raises(ValueError, match=r"translate delta must be finite, got \("):
+        translate(f, delta)
+
+
 def test_translate_zero_is_identity():
     g = GridGeometry(1.0, 0.1)
     f = make_bump((0.0, 0.0), 0.5, 1.0, g)
@@ -167,7 +174,7 @@ def test_resample_identity_is_bit_exact():
     rng = np.random.default_rng(11)
     f = Grid(g, rng.normal(size=(g.size, g.size)))
     out = resample_affine(f, LinearMap2.identity())
-    assert out.values is f.values or np.array_equal(out.values, f.values)
+    assert out.values.tobytes() == f.values.tobytes()
 
 
 def test_resample_rot90_is_exact_permutation():
@@ -242,6 +249,11 @@ def test_refine_rejects_bad_factor_and_preserves_nodes():
     assert np.array_equal(back.values, f.values)
     with pytest.raises(GeometryMismatchError):
         subsample(fine, 8)  # half-count 20 not divisible by 8
+    for bad in (1.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="subsample factor"):
+            subsample(fine, bad)
+        with pytest.raises(ValueError, match="refinement factor"):
+            refine(f, bad)
     assert abs(refine(f, 4).integral() - f.integral()) <= 0.005 * f.integral()
 
 

@@ -1,9 +1,9 @@
 """Property tests: the support-bounded kernels against whole-domain loops.
 
-convolve, resample_affine and the off-lattice translate only do work near
-the input's nonzero support, and sample_at only copies the samples its points
-read. These tests compare them byte for byte against test-local copies of
-the whole-domain loops, on fields, maps, shifts and points drawn by
+convolve, resample_affine and translate only do work near the input's
+nonzero support. These tests compare them and sample_at byte for byte
+against test-local copies of the whole-domain loops, on fields, maps
+(the identity included), shifts (lattice ones included) and points drawn by
 hypothesis, and convolve's FFT engine against its direct engine within
 rounding, and the masked residual of distance against the inline formulas
 it replaced. The examples are derandomized, so every run draws the same ones.
@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from equiaudit import (
     Filter,
@@ -200,6 +200,7 @@ def full_grid_resample(f: Grid, T: LinearMap2, geometry: GridGeometry) -> np.nda
 MAPS = st.one_of(
     st.sampled_from(
         [
+            LinearMap2.identity(),
             LinearMap2.rotation(90.0),
             LinearMap2.rotation(180.0),
             LinearMap2.reflection(0.0),
@@ -226,9 +227,6 @@ def test_resample_affine_matches_full_grid_sample_at_bit_for_bit(data):
     f = data.draw(fields(geom))
     T = data.draw(MAPS)
     target = data.draw(TARGETS)
-    if target is None:
-        # the identity without a geometry returns the input array itself
-        assume(T.matrix.tolist() != [[1.0, 0.0], [0.0, 1.0]])
     got = resample_affine(f, T, geometry=target).values
     want = full_grid_resample(f, T, geom if target is None else target)
     assert got.tobytes() == want.tobytes()
@@ -248,17 +246,12 @@ def shifts(draw, geometry: GridGeometry) -> float:
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_off_lattice_translate_matches_full_grid_sample_at_bit_for_bit(data):
-    # the interpolating translate only reads near the shifted support; every
-    # output bit, the +0.0 outside it included, must match interpolating the
-    # whole domain
+def test_translate_matches_full_grid_sample_at_bit_for_bit(data):
+    # translate only reads near the shifted support; every output bit, the
+    # +0.0 outside it included, must match interpolating the whole domain
     geom = data.draw(IMAGE_GEOMETRIES)
     f = data.draw(fields(geom))
     delta = (data.draw(shifts(geom)), data.draw(shifts(geom)))
-    h = geom.spacing
-    # a delta within the snap tolerance of the lattice on both axes is an
-    # index shift, not an interpolation
-    assume(any(abs(d / h - round(d / h)) > 1e-9 for d in delta))
     X, Y = geom.coords()
     want = full_grid_sample_at(f, X - delta[0], Y - delta[1])
     assert translate(f, delta).values.tobytes() == want.tobytes()
@@ -270,9 +263,8 @@ POINTS = st.floats(-2.0, 2.0) | st.sampled_from([0.0, 0.05, -0.8, 0.8, 0.825, 1e
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_sample_at_matches_full_grid_sample_at_bit_for_bit(data):
-    # sample_at copies only the samples its points read; reads at points in,
-    # on the edge of and outside the domain must match the whole-grid loop,
-    # in value and in shape
+    # reads at points in, on the edge of and outside the domain must match
+    # the whole-grid loop, in value and in shape
     geom = data.draw(IMAGE_GEOMETRIES)
     f = data.draw(fields(geom))
     count = data.draw(st.integers(0, 12))

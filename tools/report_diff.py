@@ -25,11 +25,13 @@ directory of its own. The cases are ``equiaudit audit --deterministic`` on:
   parent checkout writes once for both sides (the default recipe at spacing
   0.04, seed 0);
 
-and both ``equiaudit demo`` figures at spacing 0.02. A case is identical when
-stdout, stderr, the exit code and every file of its output directory
-(``report.json``, ``curves/``, ``images/``, or a demo's summary and images)
-match byte for byte. Prints one line per case and exits 1 when any case
-differs, 0 when none does.
+both ``equiaudit demo`` figures at spacing 0.02; and ``equiaudit classify``
+on one spec of each kind, the half-turn, a hyperbolic map whose squared
+trace overflows and a rotation conjugated by a shear. A case is identical
+when stdout, stderr, the exit code and every file of its output directory
+(``report.json``, ``curves/``, ``images/``, or a demo's summary and images;
+``classify`` writes none) match byte for byte. Prints one line per case and
+exits 1 when any case differs, 0 when none does.
 """
 
 import ast
@@ -44,6 +46,19 @@ RUN_PY = Path(__file__).resolve().parent.parent / "auditbench" / "run.py"
 AUDIT_SEEDS = (0, 11)
 RELU_SEEDS = (0, 2)
 DEMO_SPACING = "0.02"
+CLASSIFY_SPECS = (
+    "mat:1,0,0,1",
+    "rot:90",
+    "rot:180",
+    "rot:0.5",
+    "shear:1",
+    "scale:2,0.5",
+    "reflect:30",
+    "scale:1.7",
+    "mat:1e200,0,0,1e-200",
+    "conj:shear:1:rot:45",
+)
+OUT_COMMANDS = ("audit", "demo")  # the subcommands that take --out
 WRITE_MODEL = (
     "import sys\n"
     "from numpy.random import default_rng\n"
@@ -87,6 +102,8 @@ def cases(model_file):
     out.append(("default-model-file", {}, ["audit", "--model-file", str(model_file)]))
     for demo in ("wm-rotation", "scale-fov"):
         out.append((f"demo-{demo}", None, ["demo", demo, "--spacing", DEMO_SPACING]))
+    for spec in CLASSIFY_SPECS:
+        out.append((f"classify-{spec}", None, ["classify", spec]))
     return out
 
 
@@ -100,7 +117,9 @@ def run_case(checkout, work, config, args):
     """Run one case in the empty directory ``work``; return its stdout,
     stderr, exit code and {relative path: bytes} of its output directory."""
     work.mkdir(parents=True)
-    argv = [sys.executable, "-m", "equiaudit", *args, "--out", "out"]
+    argv = [sys.executable, "-m", "equiaudit", *args]
+    if args[0] in OUT_COMMANDS:
+        argv += ["--out", "out"]
     if config is not None:
         (work / "config.json").write_text(json.dumps(config, indent=2))
         argv += ["--config", "config.json", "--deterministic"]
