@@ -75,7 +75,6 @@ from .transform import (
 __all__ = [
     "ResidualCurve",
     "CounterexampleCertificate",
-    "AuditSettings",
     "AuditResult",
     "tolerance",
     "fit_rate",
@@ -104,19 +103,24 @@ def tolerance(h: float, scale: float, factor: float = TOL_FACTOR) -> float:
 
 @dataclass(frozen=True)
 class ResidualCurve:
-    """Residuals across descending spacings with a log-log least-squares rate."""
+    """Residuals across descending spacings with a log-log least-squares rate,
+    fitted over the residuals above floor = 1e-12 scale."""
 
     spacings: Tuple[float, ...]
     residuals: Tuple[float, ...]
-    fitted_rate: float
     scale: float
-    floor: float
+    fitted_rate: float = field(init=False)
+    floor: float = field(init=False)
 
     def __post_init__(self):
         if len(self.spacings) != len(self.residuals):
             raise ValueError("spacings and residuals must have the same length")
         object.__setattr__(self, "spacings", tuple(float(s) for s in self.spacings))
         object.__setattr__(self, "residuals", tuple(float(r) for r in self.residuals))
+        object.__setattr__(self, "floor", 1e-12 * self.scale)
+        object.__setattr__(
+            self, "fitted_rate", fit_rate(self.spacings, self.residuals, self.floor)
+        )
 
 
 @dataclass(frozen=True)
@@ -197,25 +201,12 @@ def naturality_check(
     """
     if refinements < 1:
         raise ValueError("refinements must be >= 1")
-    return _naturality_curve(_refined_levels(f, lam, refinements), T)
-
-
-def _refined_levels(f: Grid, lam: Filter, refinements: int) -> List[Tuple[Grid, Filter]]:
-    """(f, lam) refined by 2^k for k = 0 .. refinements - 1."""
-    return [
-        (refine(f, 2 ** k), refine_filter(lam, 2 ** k)) if k else (f, lam)
-        for k in range(refinements)
-    ]
-
-
-def _naturality_curve(levels: Sequence[Tuple[Grid, Filter]], T: LinearMap2) -> ResidualCurve:
-    """Core of naturality_check on already refined (f, lam) levels, finest
-    last; full_paper_audit refines once and reuses the levels for every T."""
     inv = T.inverse()
     spacings = []
     residuals = []
     scale = 1.0
-    for fk, lamk in levels:
+    for k in range(refinements):
+        fk, lamk = (refine(f, 2 ** k), refine_filter(lam, 2 ** k)) if k else (f, lam)
         hk = fk.spacing
         tf = transform_filter(lamk, T)
         lhs = resample_affine(convolve(resample_affine(fk, T), lamk), inv)
@@ -226,10 +217,7 @@ def _naturality_curve(levels: Sequence[Tuple[Grid, Filter]], T: LinearMap2) -> R
         if mask.any():
             scale = max(float(np.abs(rhs.values[mask]).max()), 1e-300)
         spacings.append(hk)
-    floor = 1e-12 * scale
-    return ResidualCurve(
-        tuple(spacings), tuple(residuals), fit_rate(spacings, residuals, floor), scale, floor
-    )
+    return ResidualCurve(tuple(spacings), tuple(residuals), scale)
 
 
 def commutation_check(T: LinearMap2, delta: Sequence[float], f: Grid) -> float:
@@ -534,12 +522,6 @@ def make_corpus(
 
 
 @dataclass(frozen=True)
-class AuditSettings:
-    refinements: int = 3
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class AuditResult:
     report: dict
     artifacts: Dict[str, Grid]
@@ -630,9 +612,10 @@ def full_paper_audit(
     model: CnnModel,
     transforms: Sequence[str],
     corpus: Sequence[Grid],
-    settings: AuditSettings,
+    refinements: int,
 ) -> AuditResult:
-    """Run every law check for every transform and cross-check the verdicts.
+    """Run every law check for every transform and cross-check the verdicts,
+    on the model and corpus refined by 2^k for k = 0 .. refinements - 1.
 
     The dichotomy gate: a transform whose classification admits invariant
     features, on a model whose filters are fixed points of the filter
@@ -649,13 +632,14 @@ def full_paper_audit(
     corpus = tuple(corpus)
     if not corpus:
         raise ValueError("corpus must be nonempty")
-    if settings.refinements < 1:
+    if not model.layers:
+        raise ValueError("model must have at least one layer")
+    if refinements < 1:
         raise ValueError("refinements must be >= 1")
     geom0 = corpus[0].geometry
     h0 = geom0.spacing
-    K = settings.refinements
-    spacings = [h0 / 2 ** k for k in range(K)]
-    kf = K - 1
+    spacings = [h0 / 2 ** k for k in range(refinements)]
+    kf = refinements - 1
     audited = sorted({0, kf})  # alignment runs at the coarsest and finest spacings
     channel = 0
 
@@ -689,11 +673,10 @@ def full_paper_audit(
     tol_fine = tolerance(hf, scale)
     floor = FLOOR_FACTOR * tol_fine
 
-    # naturality of a first-layer kernel on an off-center bump, refined once;
-    # the aligner-necessity and filter-recovery kernels are read off the same
-    # ladder, refine_filter being what refine_model applies to each kernel
+    # naturality and aligner necessity probe a first-layer kernel, naturality
+    # and commutation an off-center bump
     nat_index = min(1, len(corpus) - 1)
-    nat_levels = _refined_levels(corpus[nat_index], model.layers[0].kernels[0][0], K)
+    lam0 = model.layers[0].kernels[0][0]
     fine_kernels = [
         lam for layer in models[kf].layers for row in layer.kernels for lam in row
     ]
@@ -743,10 +726,8 @@ def full_paper_audit(
         ratio = res[kf] / res[0] if res[0] > 0 else math.inf
         floor_confirmed = (not aligned) and (res[kf] >= floor or ratio >= 0.6)
         verdict = "aligned_within_tol" if aligned else "misaligned(floor)"
-        curve_h = tuple(spacings[k] for k in audited)
-        curve_r = tuple(res[k] for k in audited)
         curve = ResidualCurve(
-            curve_h, curve_r, fit_rate(curve_h, curve_r, 1e-12 * scale), scale, 1e-12 * scale
+            tuple(spacings[k] for k in audited), tuple(res[k] for k in audited), scale
         )
         checks.append(
             _check(
@@ -782,7 +763,7 @@ def full_paper_audit(
             argmax_lhs.geometry, argmax_lhs.values - rhs.values
         )
 
-        nat = _naturality_curve(nat_levels, T)
+        nat = naturality_check(lam0, T, corpus[nat_index], refinements)
         nat_ok = nat.fitted_rate >= 0.9 and nat.residuals[-1] <= tolerance(
             nat.spacings[-1], nat.scale
         )
@@ -797,10 +778,12 @@ def full_paper_audit(
             )
         )
 
-        # shifts commute with the warp
-        comm_f = nat_levels[kf][0]
+        # shifts commute with the warp; the finest-level bump is dropped before
+        # the next transform's naturality ladder
+        comm_f = refine(corpus[nat_index], 2 ** kf) if kf else corpus[nat_index]
         comm = commutation_check(T, (hf, 0.0), comm_f)
         comm_scale = max(comm_f.sup_norm(), 1e-300)
+        del comm_f
         checks.append(
             _check(
                 f"commutation[{spec}]",
@@ -823,7 +806,7 @@ def full_paper_audit(
                 )
             )
         else:
-            lam_n = nat_levels[min(1, kf)][1]
+            lam_n = refine_filter(lam0, 2) if kf else lam0
             cert = norot_counterexample(lam_n, lam_n, T)
             checks.append(
                 _check(
@@ -881,7 +864,7 @@ def full_paper_audit(
                     )
                 )
             else:
-                mu0 = generator_eval(ops[0], Grid(geom0, np.zeros(bump.values.shape)))
+                mu0 = generator_eval(ops[0], zeros(geom0))
                 collapsed = steps[-1].support_measure == 0.0 and (
                     abs(steps[-1].mu_value - mu0) <= 1e-9 * max(abs(mu0), scale)
                 )
@@ -919,7 +902,7 @@ def full_paper_audit(
     # global mollifier recovery on a first-layer kernel at the finest spacing;
     # an empty transform list requests nothing, so the bundle stays empty
     if parsed:
-        lam_fine = nat_levels[kf][1]
+        lam_fine = models[kf].layers[0].kernels[0][0]
         n_steps, sigma0 = 2, 8.0 * hf
         pairs = mollifier_recover_filter(lam_fine, n_steps, sigma0)
         lam_l1 = max(lam_fine.grid.l1_norm(), 1e-300)
@@ -947,7 +930,6 @@ def full_paper_audit(
     checks.sort(key=lambda c: c["name"])
     consistent = all(e["consistent"] for e in expectations)
     report = {
-        "seed": settings.seed,
         "spacings": spacings,
         "channel": channel,
         "transforms": list(transforms),

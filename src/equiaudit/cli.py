@@ -21,7 +21,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .audit import (
-    AuditSettings,
     full_paper_audit,
     glyph,
     make_corpus,
@@ -93,8 +92,14 @@ def _run_config(raw: dict) -> dict:
     transforms = raw.get("transforms", DEFAULT_CONFIG["transforms"])
     if not isinstance(transforms, (list, tuple)) or not transforms:
         raise ValueError("transforms must be a nonempty list of spec strings")
+    seen = {}
     for spec in transforms:
         parse_transform(str(spec))  # fail fast on malformed specs
+        # a spec's curves and images are named after it
+        name = _safe_name(f"alignment[{spec}]")
+        if name in seen:
+            raise ValueError(f"transforms {seen[name]!r} and {spec!r} name the same output files")
+        seen[name] = spec
     model = raw.get("model", DEFAULT_CONFIG["model"])
     if not isinstance(model, (str, dict)):
         raise ValueError("model must be a file path or a synthesis recipe")
@@ -184,12 +189,11 @@ def cmd_audit(args) -> int:
         else:
             model = build_model(model, geo["spacing"], np.random.default_rng(seed))
         corpus = make_corpus(geom, seed=seed, include_glyphs=config["corpus"]["glyphs"])
-        settings = AuditSettings(refinements=geo["refinements"], seed=seed)
-        result = full_paper_audit(model, config["transforms"], corpus, settings)
+        result = full_paper_audit(model, config["transforms"], corpus, geo["refinements"])
     except (ValueError, EquiauditError, OSError, json.JSONDecodeError, MemoryError) as e:
         print(f"equiaudit: config error: {e}", file=sys.stderr)
         return 1
-    report = dict(result.report, config=config)
+    report = dict(result.report, config=config, seed=seed)
     if not args.deterministic:
         report["generated_at"] = datetime.now(timezone.utc).isoformat()
     out_dir = Path(config["out"])

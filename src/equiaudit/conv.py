@@ -710,8 +710,8 @@ def model_to_json(model: CnnModel) -> dict:
 
 
 def model_from_json(obj: dict) -> CnnModel:
-    if not isinstance(obj, dict) or "layers" not in obj:
-        raise InvalidModelError("model JSON must be an object with a 'layers' list")
+    if not (isinstance(obj, dict) and isinstance(obj.get("layers"), list) and obj["layers"]):
+        raise InvalidModelError("model JSON must be an object with a nonempty 'layers' list")
     layers = []
     for i, spec in enumerate(obj["layers"]):
         try:

@@ -1,11 +1,11 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from equiaudit import (
-    AuditSettings,
     CnnModel,
     ConstantFeatureError,
     ConvLayer,
@@ -16,6 +16,7 @@ from equiaudit import (
     GridGeometry,
     NoCounterexampleError,
     Nonlinearity,
+    ResidualCurve,
     ResolutionWarning,
     alignment_residual,
     build_model,
@@ -71,6 +72,18 @@ def test_fit_rate_recovers_power_laws():
     assert fit_rate(hs, [1e-15] * 4, floor=1e-12) == math.inf
     # a single point above the floor cannot give a slope
     assert fit_rate(hs, [1e-3, 1e-15, 1e-15, 1e-15], floor=1e-12) == math.inf
+
+
+def test_residual_curve_derives_its_floor_and_rate():
+    hs, rs = (0.1, 0.05), (1e-3, 2.5e-4)
+    curve = ResidualCurve(hs, rs, 2.0)
+    assert curve.floor == 2e-12
+    assert curve.fitted_rate == fit_rate(hs, rs, 2e-12)
+    assert curve.fitted_rate == pytest.approx(2.0)
+    # the keys report.json writes under spacing_curve
+    assert set(asdict(curve)) == {"spacings", "residuals", "fitted_rate", "scale", "floor"}
+    with pytest.raises(ValueError, match="same length"):
+        ResidualCurve(hs, rs[:1], 2.0)
 
 
 def test_alignment_residual_identity_is_zero():
@@ -349,7 +362,7 @@ def test_full_paper_audit_empty_transforms():
         spacing=0.05,
         rng=np.random.default_rng(0),
     )
-    out = full_paper_audit(model, [], corpus, AuditSettings(refinements=2))
+    out = full_paper_audit(model, [], corpus, 2)
     assert out.report["checks"] == []
     assert out.report["consistent"] is True
 
@@ -363,7 +376,7 @@ def test_full_paper_audit_n_fold_model_aligns_under_quarter_turn():
         spacing=0.05,
         rng=np.random.default_rng(4),
     )
-    out = full_paper_audit(model, ["rot:90"], corpus, AuditSettings(refinements=2))
+    out = full_paper_audit(model, ["rot:90"], corpus, 2)
     report = out.report
     assert report["consistent"] is True
     align = [c for c in report["checks"] if c["name"].startswith("alignment[")]
@@ -383,7 +396,7 @@ def test_full_paper_audit_flags_asymmetric_model_as_inconsistent():
         spacing=0.05,
         rng=np.random.default_rng(11),
     )
-    out = full_paper_audit(model, ["rot:90"], corpus, AuditSettings(refinements=2))
+    out = full_paper_audit(model, ["rot:90"], corpus, 2)
     report = out.report
     align = [c for c in report["checks"] if c["name"].startswith("alignment[")]
     assert align and all(c["verdict"] == "misaligned(floor)" for c in align)
@@ -411,7 +424,7 @@ def test_full_paper_audit_matches_public_checks():
     corpus = make_corpus(g, seed=0)
     model = _small_audit_model()
     specs = ["rot:30", "shear:1"]
-    report = full_paper_audit(model, specs, corpus, AuditSettings(refinements=2)).report
+    report = full_paper_audit(model, specs, corpus, 2).report
     checks = {c["name"]: c for c in report["checks"]}
     # the report's shape and its fixed thresholds, channel and mollifier ladder
     assert report["tolerances"]["tol_factor"] == 5.0
@@ -442,6 +455,37 @@ def test_full_paper_audit_matches_public_checks():
         assert curve["scale"] == nat.scale, spec
 
 
+def test_full_paper_audit_runs_naturality_check_once_per_transform(monkeypatch):
+    import equiaudit.audit as audit_module
+
+    calls = []
+    real = audit_module.naturality_check
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(audit_module, "naturality_check", counting)
+    corpus = make_corpus(GridGeometry(1.2, 0.05), seed=0)
+    model = _small_audit_model()
+    specs = ["rot:30", "shear:1"]
+    full_paper_audit(model, specs, corpus, 2)
+    assert len(calls) == len(specs)
+    for (args, kwargs), spec in zip(calls, specs):
+        lam, T, f, refinements = args
+        assert kwargs == {}
+        assert lam is model.layers[0].kernels[0][0]
+        assert T == parse_transform(spec)
+        assert f is corpus[1]
+        assert refinements == 2
+
+
+def test_full_paper_audit_rejects_a_model_without_layers():
+    corpus = make_corpus(GridGeometry(1.2, 0.05), seed=0)
+    with pytest.raises(ValueError, match="at least one layer"):
+        full_paper_audit(CnnModel(()), ["rot:90"], corpus, 2)
+
+
 def test_full_paper_audit_contraction_direction():
     # an expanding map runs the contraction forward, a contracting one on its
     # inverse, and a map that does both has no contraction sequence at all
@@ -449,7 +493,7 @@ def test_full_paper_audit_contraction_direction():
     corpus = make_corpus(g, seed=0)
     specs = ["scale:2", "scale:0.5", "scale:3,0.5"]
     report = full_paper_audit(
-        _small_audit_model(), specs, corpus, AuditSettings(refinements=1)
+        _small_audit_model(), specs, corpus, 1
     ).report
     checks = {c["name"]: c for c in report["checks"]}
     forward = checks["contraction[scale:2]"]
@@ -480,7 +524,7 @@ def test_full_paper_audit_report_is_json_safe(refinements):
     corpus = make_corpus(GridGeometry(1.2, 0.05), seed=0)
     specs = ["mat:1,0,0,1", "shear:1", "scale:3,0.5"]
     report = full_paper_audit(
-        _small_audit_model(), specs, corpus, AuditSettings(refinements=refinements)
+        _small_audit_model(), specs, corpus, refinements
     ).report
     assert json.loads(json.dumps(report, allow_nan=False)) == report
     assert _leaf_types(report) <= {str, int, float, bool, type(None)}
@@ -504,15 +548,15 @@ def test_full_paper_audit_fft_engine_matches_the_direct_engine(make_model, monke
     g = GridGeometry(1.2, 0.05)
     corpus = make_corpus(g, seed=0)
     specs = ["rot:90", "rot:30", "shear:1", "scale:2"]
-    settings = AuditSettings(refinements=2)
-    fast = full_paper_audit(make_model(), specs, corpus, settings).report
+    refinements = 2
+    fast = full_paper_audit(make_model(), specs, corpus, refinements).report
     fft_op = audit_module.model_channel_operator
     monkeypatch.setattr(
         audit_module,
         "model_channel_operator",
         lambda *args, **kwargs: fft_op(*args, **dict(kwargs, exact=True)),
     )
-    direct = full_paper_audit(make_model(), specs, corpus, settings).report
+    direct = full_paper_audit(make_model(), specs, corpus, refinements).report
     assert fast["expectations"] == direct["expectations"]
     assert fast["consistent"] and direct["consistent"]
     scale = direct["tolerances"]["scale"]
@@ -533,7 +577,7 @@ def test_full_paper_audit_constant_channel_raises():
     lam = gaussian_filter(0.06, GridGeometry(0.2, 0.05))
     model = CnnModel((ConvLayer(((lam,),), (-1e3,), Nonlinearity("relu")),))
     with pytest.raises(ConstantFeatureError, match="channel 0"):
-        full_paper_audit(model, ["shear:1"], corpus, AuditSettings(refinements=2))
+        full_paper_audit(model, ["shear:1"], corpus, 2)
     # a negative kernel on nonnegative bumps gives a relu channel that the
     # direct sum makes exactly 0.0, where FFT rounding leaves +-1e-18
     neg = gaussian_filter(0.06, GridGeometry(0.2, 0.05), amplitude=-1.0)
@@ -541,7 +585,7 @@ def test_full_paper_audit_constant_channel_raises():
     bumps = corpus[:15]
     assert min(f.values.min() for f in bumps) >= 0.0
     with pytest.raises(ConstantFeatureError, match="channel 0"):
-        full_paper_audit(model, ["shear:1"], bumps, AuditSettings(refinements=2))
+        full_paper_audit(model, ["shear:1"], bumps, 2)
 
 
 def test_full_paper_audit_live_memory_does_not_grow_with_the_corpus():
@@ -558,12 +602,12 @@ def test_full_paper_audit_live_memory_does_not_grow_with_the_corpus():
         rng=np.random.default_rng(0),
     )
     corpus = make_corpus(geom)
-    settings = AuditSettings(refinements=3)
+    refinements = 3
 
     def traced_peak(entries):
         tracemalloc.start()
         try:
-            full_paper_audit(model, ["rot:90", "shear:1"], entries, settings)
+            full_paper_audit(model, ["rot:90", "shear:1"], entries, refinements)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -580,7 +624,7 @@ def test_single_refinement_gives_a_one_point_alignment_curve():
     g = GridGeometry(1.2, 0.05)
     corpus = make_corpus(g, seed=0)
     out = full_paper_audit(
-        _small_audit_model(), ["rot:90", "shear:1"], corpus, AuditSettings(refinements=1)
+        _small_audit_model(), ["rot:90", "shear:1"], corpus, 1
     )
     assert out.report["spacings"] == [0.05]
     for spec in ("rot:90", "shear:1"):

@@ -347,6 +347,33 @@ def test_audit_constant_channel_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize("layers", [5, None, []], ids=["number", "null", "empty"])
+def test_audit_model_file_without_a_layer_list_is_a_config_error(tmp_path, capsys, layers):
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps({"layers": layers}))
+    cfg_path, _ = _write_config(tmp_path, model=str(model_path))
+    assert main(["audit", "--config", str(cfg_path), "--deterministic"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("equiaudit: config error:")
+    assert "'layers' list" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["shear:1,shear:+1", "rot:90,rot:90"])
+def test_audit_transforms_with_colliding_output_names_are_a_config_error(
+    tmp_path, capsys, flag
+):
+    # both specs would write naturality_<name>.csv and alignment_<name>.*.pgm
+    cfg_path, _ = _write_config(tmp_path)
+    assert main(["audit", "--config", str(cfg_path), "--transforms", flag]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("equiaudit: config error:")
+    first, second = flag.split(",")
+    assert f"{first!r} and {second!r}" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_audit_flag_overrides_config(tmp_path, capsys):
     cfg_path, _ = _write_config(tmp_path)
     out2 = tmp_path / "elsewhere"

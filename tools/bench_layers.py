@@ -180,7 +180,7 @@ def traced_peak_mb() -> float:
 
     import numpy as np
 
-    from equiaudit import AuditSettings, GridGeometry, build_model, full_paper_audit, make_corpus
+    from equiaudit import GridGeometry, build_model, full_paper_audit, make_corpus
     from equiaudit.cli import DEFAULT_CONFIG
 
     geo, seed = DEFAULT_CONFIG["geometry"], DEFAULT_CONFIG["seed"]
@@ -190,9 +190,8 @@ def traced_peak_mb() -> float:
         seed=seed,
         include_glyphs=DEFAULT_CONFIG["corpus"]["glyphs"],
     )
-    settings = AuditSettings(refinements=geo["refinements"], seed=seed)
     tracemalloc.start()
-    full_paper_audit(model, DEFAULT_CONFIG["transforms"], corpus, settings)
+    full_paper_audit(model, DEFAULT_CONFIG["transforms"], corpus, geo["refinements"])
     return tracemalloc.get_traced_memory()[1] / 2 ** 20
 
 
