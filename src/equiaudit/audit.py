@@ -51,6 +51,7 @@ from .generator import (
 )
 from .grid import (
     Grid,
+    GridCrop,
     GridGeometry,
     _close,
     _sum_grids,
@@ -523,8 +524,11 @@ def make_corpus(
 
 @dataclass(frozen=True)
 class AuditResult:
+    """The report, and the alignment images as support crops: a writer
+    expands one crop at a time."""
+
     report: dict
-    artifacts: Dict[str, Grid]
+    artifacts: Dict[str, GridCrop]
 
 
 def _json_safe(x):
@@ -570,10 +574,11 @@ def _alignment_sweep(
 
     Returns one (residuals, mus, worst) per map: the max residual of each
     level, the finest-level (mu_plain, mu_warped) pairs and the worst
-    finest-level entry as (index, realigned response, baseline), the first
-    entry winning ties; and, for every finest-level baseline, its sup
-    distance from the response to an empty input, so the channel's constant
-    background (sigma(b) of a bias or a sigmoid) does not count as signal.
+    finest-level entry as (index, realigned response, baseline), the two
+    fields as GridCrops and the first entry winning ties; and, for every
+    finest-level baseline, its sup distance from the response to an empty
+    input, so the channel's constant background (sigma(b) of a bias or a
+    sigmoid) does not count as signal.
     """
     kf = levels[-1]
     aligners = [T.inverse() for T in maps]
@@ -599,7 +604,7 @@ def _alignment_sweep(
                 r = distance(lhs, base, "sup", mask)
                 if k == kf:
                     if r > res[t][k] or i == 0:
-                        worst[t] = (i, lhs, base)
+                        worst[t] = (i, GridCrop.of(lhs), GridCrop.of(base))
                     mus[t].append((base.origin_value, warped_out.origin_value))
                 res[t][k] = max(res[t][k], r)
                 # the next map's forward pass is the sweep's memory peak:
@@ -627,7 +632,7 @@ def full_paper_audit(
     one refined entry and its baseline response are alive at a time, and
     serve every transform before the next entry is refined. Only the worst
     finest-level entry's realigned response and baseline are kept per
-    transform, for the artifacts.
+    transform, as support crops, for the artifacts.
     """
     corpus = tuple(corpus)
     if not corpus:
@@ -682,9 +687,9 @@ def full_paper_audit(
     ]
 
     checks: List[dict] = []
-    artifacts: Dict[str, Grid] = {}
+    artifacts: Dict[str, GridCrop] = {}
     expectations = []
-    for (spec, T), (res, mus, (argmax_idx, argmax_lhs, rhs)) in zip(parsed, sweeps):
+    for (spec, T), (res, mus, (argmax_idx, lhs_crop, rhs_crop)) in zip(parsed, sweeps):
         cls = classify(T)
         admits = alignment_admits_invariance(T)
         checks.append(
@@ -721,7 +726,7 @@ def full_paper_audit(
         )
 
         # alignment, read off the sweep; the worst finest-level entry's
-        # realigned response and baseline are the artifacts
+        # realigned response, baseline and their difference are the artifacts
         aligned = res[kf] <= tol_fine
         ratio = res[kf] / res[0] if res[0] > 0 else math.inf
         floor_confirmed = (not aligned) and (res[kf] >= floor or ratio >= 0.6)
@@ -757,11 +762,13 @@ def full_paper_audit(
                 curve,
             )
         )
-        artifacts[f"alignment[{spec}].lhs"] = argmax_lhs
-        artifacts[f"alignment[{spec}].rhs"] = rhs
-        artifacts[f"alignment[{spec}].diff"] = Grid(
-            argmax_lhs.geometry, argmax_lhs.values - rhs.values
+        artifacts[f"alignment[{spec}].lhs"] = lhs_crop
+        artifacts[f"alignment[{spec}].rhs"] = rhs_crop
+        lhs, rhs = lhs_crop.expand(), rhs_crop.expand()
+        artifacts[f"alignment[{spec}].diff"] = GridCrop.of(
+            Grid(lhs.geometry, lhs.values - rhs.values)
         )
+        del lhs, rhs  # whole-domain grids, not held into the next map
 
         nat = naturality_check(lam0, T, corpus[nat_index], refinements)
         nat_ok = nat.fitted_rate >= 0.9 and nat.residuals[-1] <= tolerance(

@@ -174,8 +174,9 @@ def _write_outputs(out_dir: Path, report: dict, artifacts, seed: int) -> None:
         (curves / f"{_safe_name(check['name'])}.csv").write_text("\n".join(lines) + "\n")
     images = out_dir / "images"
     images.mkdir(exist_ok=True)
-    for name, grid in sorted(artifacts.items()):
-        save_pgm16(grid, images / f"{_safe_name(name)}.pgm", extra={"seed": seed})
+    # one whole-domain image at a time
+    for name, crop in sorted(artifacts.items()):
+        save_pgm16(crop.expand(), images / f"{_safe_name(name)}.pgm", extra={"seed": seed})
 
 
 def cmd_audit(args) -> int:

@@ -18,9 +18,15 @@ Conventions used throughout the package:
   weighted corners onto +0.0 in the fixed order (0,0), (0,1), (1,0), (1,1).
   Since a zero read of either sign then changes no bit, the warp core
   interpolates only near the input's nonzero box, writes +0.0 everywhere
-  else, and equals the whole-domain computation bit for bit. A lattice
+  else, and equals the whole-domain computation bit for bit. It pads the
+  box once and interpolates the output in strips of whole rows of about
+  _STRIP_SAMPLES samples, so its temporaries scale with a strip, not with
+  the warped box. A lattice
   read has weights (1, 0, 0, 0) and returns the sample itself, except that
   a -0.0 sample reads +0.0.
+- A GridCrop holds a field as its support: the geometry, an index box and
+  the samples inside it. ``GridCrop.of(f).expand()`` gives back f's samples
+  byte for byte.
 - Integrals are Riemann sums with weight h^2, accumulated by a fixed
   row-major pairwise reduction so results do not depend on threading.
 """
@@ -39,6 +45,7 @@ from .transform import LinearMap2
 __all__ = [
     "GridGeometry",
     "Grid",
+    "GridCrop",
     "FeatureStack",
     "SupportEstimate",
     "pairwise_sum",
@@ -56,6 +63,7 @@ __all__ = [
 ]
 
 _SNAP = 1e-9  # lattice snap tolerance, in index units
+_STRIP_SAMPLES = 8192  # output samples per bilinear pass of _warp, in whole rows
 
 
 def pairwise_sum(a: np.ndarray) -> float:
@@ -86,18 +94,23 @@ def _snap_indices(t: np.ndarray) -> np.ndarray:
     return np.where(np.abs(t - r) <= _SNAP, r, t)
 
 
+def _bounding_box(nz: np.ndarray) -> Optional[Tuple[int, int, int, int]]:
+    """Half-open bounding box (r0, r1, c0, c1) of the set entries of a
+    boolean array, or None when none is set."""
+    rows = np.flatnonzero(nz.any(axis=1))
+    if rows.size == 0:
+        return None
+    cols = np.flatnonzero(nz.any(axis=0))
+    return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+
+
 def _nonzero_box(values: np.ndarray) -> Optional[Tuple[int, int, int, int]]:
     """Half-open bounding box (r0, r1, c0, c1) of the nonzero samples, or None.
 
     Samples equal to 0.0 (either sign) are outside the box, so every sample
     outside it is +0.0 or -0.0.
     """
-    nz = values != 0.0
-    rows = np.flatnonzero(nz.any(axis=1))
-    if rows.size == 0:
-        return None
-    cols = np.flatnonzero(nz.any(axis=0))
-    return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+    return _bounding_box(values != 0.0)
 
 
 def _index_coords(geometry: "GridGeometry", xs, ys) -> Tuple[np.ndarray, np.ndarray]:
@@ -111,26 +124,32 @@ def _index_coords(geometry: "GridGeometry", xs, ys) -> Tuple[np.ndarray, np.ndar
     return row, col
 
 
-def _bilinear(
-    values: np.ndarray, box: Tuple[int, int, int, int], row: np.ndarray, col: np.ndarray
-) -> np.ndarray:
-    """Bilinear reads of ``values`` at fractional index coordinates, where
-    every sample outside the half-open index ``box`` (r0, r1, c0, c1) reads
-    as zero.
+def _padded_box(values: np.ndarray, box: Tuple[int, int, int, int]) -> np.ndarray:
+    """A copy of the half-open index ``box`` (r0, r1, c0, c1) of ``values``
+    with a two-sample +0.0 border: the samples :func:`_bilinear` reads."""
+    r0, r1, c0, c1 = box
+    padded = np.zeros((r1 - r0 + 4, c1 - c0 + 4), dtype=np.float64)
+    padded[2:-2, 2:-2] = values[r0:r1, c0:c1]
+    return padded
 
-    The box is copied once with a two-sample +0.0 border, and each floored
-    index is clipped into [r0 - 2, r1] (columns likewise): a corner whose
-    index lies outside the box then reads only border zeros. The four corners
-    are read with one flat index. Each point gets the weights
-    (1-fr)(1-fc), (1-fr)fc, fr(1-fc) and fr*fc, added in the corner order
-    (0,0), (0,1), (1,0), (1,1) onto +0.0, so a zero read of either sign
-    changes no bit: callers may pass any box outside which ``values`` holds
-    only zeros.
+
+def _bilinear(
+    padded: np.ndarray, box: Tuple[int, int, int, int], row: np.ndarray, col: np.ndarray
+) -> np.ndarray:
+    """Bilinear reads at fractional index coordinates of a field of which
+    ``padded`` is the :func:`_padded_box` of the half-open index ``box``
+    (r0, r1, c0, c1); every sample outside the box reads as zero.
+
+    Each floored index is clipped into [r0 - 2, r1] (columns likewise): a
+    corner whose index lies outside the box then reads only border zeros.
+    The four corners are read with one flat index. Each point gets the
+    weights (1-fr)(1-fc), (1-fr)fc, fr(1-fc) and fr*fc, added in the corner
+    order (0,0), (0,1), (1,0), (1,1) onto +0.0, so a zero read of either sign
+    changes no bit: callers may pass any box outside which the field holds
+    only zeros. Each point's result depends on its own coordinates alone.
     """
     r0, r1, c0, c1 = box
-    width = c1 - c0 + 4
-    padded = np.zeros((r1 - r0 + 4, width), dtype=np.float64)
-    padded[2:-2, 2:-2] = values[r0:r1, c0:c1]
+    width = padded.shape[1]
     fl_r = np.floor(row).astype(np.int64)
     fl_c = np.floor(col).astype(np.int64)
     fr = row - fl_r
@@ -235,13 +254,14 @@ class Grid:
     def sample_at(self, xs, ys) -> np.ndarray:
         """Bilinear interpolation at spatial points; reads outside the domain are 0.
 
-        Every call copies the whole grid once into :func:`_bilinear`'s padded
-        box. A point outside the domain reads 0.0 and a non-finite coordinate
-        gives NaN, as on an unbounded zero-extended grid.
+        Every call copies the whole grid once into :func:`_padded_box`. A
+        point outside the domain reads 0.0 and a non-finite coordinate gives
+        NaN, as on an unbounded zero-extended grid.
         """
         row, col = _index_coords(self.geometry, xs, ys)
         n = self.geometry.size
-        return _bilinear(self.values, (0, n, 0, n), row, col)
+        box = (0, n, 0, n)
+        return _bilinear(_padded_box(self.values, box), box, row, col)
 
     def integral(self) -> float:
         h = self.geometry.spacing
@@ -253,6 +273,36 @@ class Grid:
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
+
+
+@dataclass(frozen=True, eq=False)
+class GridCrop:
+    """A field held as its support: the geometry, a half-open index ``box``
+    (r0, r1, c0, c1) and the read-only samples inside it. Every sample
+    outside the box is +0.0."""
+
+    geometry: GridGeometry
+    box: Tuple[int, int, int, int]
+    values: np.ndarray
+
+    @classmethod
+    def of(cls, f: Grid) -> "GridCrop":
+        """f cropped to the bounding box of every sample whose bits are not
+        +0.0, so a -0.0 sample stays inside and :meth:`expand` gives back f's
+        samples byte for byte. The source is not kept."""
+        box = _bounding_box(f.values.view(np.uint64) != 0) or (0, 0, 0, 0)
+        r0, r1, c0, c1 = box
+        vals = f.values[r0:r1, c0:c1].copy()
+        vals.setflags(write=False)
+        return cls(f.geometry, box, vals)
+
+    def expand(self) -> Grid:
+        """The whole-domain grid: the box's samples in a field of +0.0."""
+        n = self.geometry.size
+        r0, r1, c0, c1 = self.box
+        vals = np.zeros((n, n), dtype=np.float64)
+        vals[r0:r1, c0:c1] = self.values
+        return Grid(self.geometry, vals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,18 +445,30 @@ def _warp(f: Grid, T, inv, offset, geometry: GridGeometry, source) -> Grid:
     """The one warp: out(x) = f(T^-1 (x - offset)) on ``geometry``,
     bilinear, with ``inv`` = T^-1 and ``source`` attached. Only the output
     samples in ``_warped_box`` can read f's nonzero box; the rest stay +0.0.
-    The offset is subtracted from the 1-D axes, and x - 0.0 is x."""
+    The offset is subtracted from the 1-D axes, and x - 0.0 is x.
+
+    f's box is padded once; the read coordinates and the bilinear reads are
+    computed a strip of whole output rows at a time, at most _STRIP_SAMPLES
+    samples or one row. Every sample goes through the same operations as in
+    one pass over the box, so the bits are the same too."""
     n = geometry.size
     out = np.zeros((n, n), dtype=np.float64)
     box = _nonzero_box(f.values)
     if box is not None:
         a, b, c, d = _warped_box(box, f.geometry, T, offset, geometry)
         if a < b and c < d:
+            padded = _padded_box(f.values, box)
             ax = geometry.axis()
             X = ax[c:d][np.newaxis, :] - offset[0]
-            Y = ax[::-1][a:b][:, np.newaxis] - offset[1]
-            row, col = _index_coords(f.geometry, inv.a * X + inv.b * Y, inv.c * X + inv.d * Y)
-            out[a:b, c:d] = _bilinear(f.values, box, row, col)
+            Y = ax[::-1][:, np.newaxis] - offset[1]
+            step = max(1, _STRIP_SAMPLES // (d - c))
+            for s in range(a, b, step):
+                e = min(s + step, b)
+                Ys = Y[s:e]
+                row, col = _index_coords(
+                    f.geometry, inv.a * X + inv.b * Ys, inv.c * X + inv.d * Ys
+                )
+                out[s:e, c:d] = _bilinear(padded, box, row, col)
     return Grid(geometry, out, source=source)
 
 
@@ -538,7 +600,10 @@ def interior_mask(geometry: GridGeometry, margin: float, warp=None) -> np.ndarra
     mask = (np.abs(X) <= lim) & (np.abs(Y) <= lim)
     if warp is not None:
         inv = warp.inverse()
-        sx = inv.a * X + inv.b * Y
-        sy = inv.c * X + inv.d * Y
-        mask &= (np.abs(sx) <= lim) & (np.abs(sy) <= lim)
+        # one read coordinate at a time: a single float64 whole-domain
+        # temporary, made absolute in place
+        for p, q in ((inv.a, inv.b), (inv.c, inv.d)):
+            s = p * X + q * Y
+            np.abs(s, out=s)
+            mask &= s <= lim
     return mask

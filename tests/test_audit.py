@@ -13,6 +13,7 @@ from equiaudit import (
     Filter,
     GeometryMismatchError,
     Grid,
+    GridCrop,
     GridGeometry,
     NoCounterexampleError,
     Nonlinearity,
@@ -22,7 +23,6 @@ from equiaudit import (
     build_model,
     commutation_check,
     convolution_operator,
-    convolve,
     filter_fixed_point_residual,
     fit_rate,
     full_paper_audit,
@@ -36,7 +36,6 @@ from equiaudit import (
     n_fold_symmetrize,
     naturality_check,
     norot_counterexample,
-    radial_filter,
     random_blob_filter,
     refine,
     refine_model,
@@ -453,6 +452,37 @@ def test_full_paper_audit_matches_public_checks():
         curve = checks[f"naturality[{spec}]"]["spacing_curve"]
         assert curve["residuals"] == list(nat.residuals), spec
         assert curve["scale"] == nat.scale, spec
+
+
+def test_full_paper_audit_keeps_its_images_as_support_crops():
+    # every alignment image is a crop of a field smaller than the domain: the
+    # worst finest-level entry's realigned response and baseline, and their
+    # difference, which equals the expanded lhs minus the expanded rhs bit for
+    # bit
+    g = GridGeometry(1.2, 0.05)
+    corpus = make_corpus(g, seed=0)
+    model = _small_audit_model()
+    specs = ["rot:30", "shear:1"]
+    result = full_paper_audit(model, specs, corpus, 2)
+    checks = {c["name"]: c for c in result.report["checks"]}
+    parts = ("lhs", "rhs", "diff")
+    assert set(result.artifacts) == {f"alignment[{s}].{p}" for s in specs for p in parts}
+    op = model_channel_operator(refine_model(model, 2), channel=0, exact=False)
+    for spec in specs:
+        crops = {p: result.artifacts[f"alignment[{spec}].{p}"] for p in parts}
+        for part, crop in crops.items():
+            assert isinstance(crop, GridCrop), part
+            n = crop.geometry.size
+            r0, r1, c0, c1 = crop.box
+            assert (r1 - r0) * (c1 - c0) < n * n, part
+        lhs, rhs = crops["lhs"].expand(), crops["rhs"].expand()
+        want = (lhs.values - rhs.values).tobytes()
+        assert crops["diff"].expand().values.tobytes() == want
+        T = parse_transform(spec)
+        f = refine(corpus[checks[f"alignment[{spec}]"]["params"]["corpus_argmax"]], 2)
+        realigned = resample_affine(op(resample_affine(f, T)), T.inverse())
+        assert lhs.values.tobytes() == realigned.values.tobytes()
+        assert rhs.values.tobytes() == op(f).values.tobytes()
 
 
 def test_full_paper_audit_runs_naturality_check_once_per_transform(monkeypatch):

@@ -7,6 +7,7 @@ from equiaudit import (
     DomainFitError,
     GeometryMismatchError,
     Grid,
+    GridCrop,
     GridGeometry,
     distance,
     embed,
@@ -290,6 +291,41 @@ def test_interior_mask_plain_and_warped():
     mw = interior_mask(g, 0.3, warp=LinearMap2.scaling(0.5))
     assert mw.sum() < m.sum()
     assert np.all(m[mw])
+
+
+@pytest.mark.parametrize("spec", ["rot:45", "shear:1", "scale:2", "reflect:30"])
+def test_interior_mask_warped_is_the_two_coordinate_formula(spec):
+    # the warped mask is built one read coordinate at a time; it must keep
+    # exactly the samples of the formula with both coordinates at once
+    from equiaudit.transform import parse_transform
+
+    g = GridGeometry(1.6, 0.04)
+    margin = 0.28
+    warp = parse_transform(spec)
+    lim = g.extent - margin + 1e-9 * g.spacing
+    ax = g.axis()
+    X, Y = ax[np.newaxis, :], ax[::-1, np.newaxis]
+    inv = warp.inverse()
+    sx = inv.a * X + inv.b * Y
+    sy = inv.c * X + inv.d * Y
+    want = (np.abs(X) <= lim) & (np.abs(Y) <= lim)
+    want &= (np.abs(sx) <= lim) & (np.abs(sy) <= lim)
+    got = interior_mask(g, margin, warp=warp)
+    assert got.dtype == bool
+    assert got.tobytes() == want.tobytes()
+
+
+def test_grid_crop_keeps_minus_zero_and_an_empty_box():
+    g = GridGeometry(0.5, 0.1)
+    vals = np.zeros((g.size, g.size))
+    vals[0, g.size - 1] = -0.0
+    crop = GridCrop.of(Grid(g, vals))
+    assert crop.box == (0, 1, g.size - 1, g.size)
+    assert np.signbit(crop.expand().values[0, g.size - 1])
+    assert crop.expand().values.tobytes() == vals.tobytes()
+    empty = GridCrop.of(zeros(g))
+    assert empty.box == (0, 0, 0, 0) and empty.values.size == 0
+    assert empty.expand().values.tobytes() == zeros(g).values.tobytes()
 
 
 def test_feature_stack_shape_checks():

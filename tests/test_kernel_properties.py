@@ -6,7 +6,8 @@ against test-local copies of the whole-domain loops, on fields, maps
 (the identity included), shifts (lattice ones included) and points drawn by
 hypothesis, and convolve's FFT engine against its direct engine within
 rounding, and the masked residual of distance against the inline formulas
-it replaced. The examples are derandomized, so every run draws the same ones.
+it replaced, and GridCrop's round trip. The examples are derandomized, so
+every run draws the same ones.
 """
 
 from unittest import mock
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from equiaudit import (
     Filter,
     Grid,
+    GridCrop,
     GridGeometry,
     convolve,
     distance,
@@ -29,8 +31,11 @@ from equiaudit import (
 )
 from equiaudit.transform import LinearMap2
 
-# image geometries of 11, 21 and 33 samples per side
-IMAGE_GEOMETRIES = st.sampled_from([0.25, 0.5, 0.8]).map(lambda r: GridGeometry(r, 0.05))
+# image geometries of 11, 21, 33 and 161 samples per side; the widest makes
+# warped boxes that span three or more strips of the warp core
+IMAGE_GEOMETRIES = st.sampled_from([0.25, 0.5, 0.8, 4.0]).map(
+    lambda r: GridGeometry(r, 0.05)
+)
 
 
 @st.composite
@@ -351,3 +356,24 @@ def test_masked_distance_matches_the_inline_formulas_bit_for_bit(data):
     want = reference_distance(f, g, norm, mask)
     assert type(got) is float
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_grid_crop_expands_to_the_same_bytes(data):
+    # the crop's box is the tight box of every sample whose bits are not
+    # +0.0, so -0.0 samples, all-zero fields and fields nonzero on the border
+    # all come back byte for byte
+    geom = data.draw(IMAGE_GEOMETRIES)
+    f = data.draw(fields(geom))
+    crop = GridCrop.of(f)
+    assert crop.expand().values.tobytes() == f.values.tobytes()
+    set_bits = f.values.view(np.uint64) != 0
+    r0, r1, c0, c1 = crop.box
+    if not set_bits.any():
+        assert crop.box == (0, 0, 0, 0)
+        return
+    inside = set_bits[r0:r1, c0:c1]
+    assert inside.sum() == set_bits.sum()
+    assert inside[0].any() and inside[-1].any()
+    assert inside[:, 0].any() and inside[:, -1].any()

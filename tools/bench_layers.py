@@ -20,9 +20,10 @@ Per checkout it records:
 - ``stock_audit_peak_rss_mb``: the peak resident memory of that audit's
   process (its ``ru_maxrss``, read with ``os.wait4``), per round;
 - ``stock_audit_traced_peak_mb``: the ``tracemalloc`` peak of one in-process
-  ``full_paper_audit`` of the built-in default config, in a fresh process.
-  It counts live allocations only, so unlike the resident peak it does not
-  move with the allocator's heap layout;
+  ``equiaudit audit --deterministic`` of the built-in default config, in a
+  fresh process: model build, audit and writing the outputs into a temporary
+  directory. It counts live allocations only, so unlike the resident peak it
+  does not move with the allocator's heap layout;
 - ``depth``: one run each of the default audit at ``refinements`` 4 and 5,
   with its wall time ``audit_s`` and its ``peak_rss_mb``;
 - ``suite_s``: wall time of one tier-1 pytest run in the checkout, and its
@@ -173,26 +174,24 @@ def layer_timings() -> dict:
 
 
 def traced_peak_mb() -> float:
-    """tracemalloc peak in MB of one full_paper_audit of the built-in default
-    config; the model and the corpus are built, as cmd_audit builds them,
-    before tracing starts."""
+    """tracemalloc peak in MB of one in-process ``equiaudit audit
+    --deterministic`` of the built-in default config: the model build, the
+    audit and the writing of its outputs into a temporary directory, so that
+    memory the writer holds counts too. The package is imported before
+    tracing starts."""
+    import contextlib
+    import io
     import tracemalloc
 
-    import numpy as np
+    from equiaudit.cli import main
 
-    from equiaudit import GridGeometry, build_model, full_paper_audit, make_corpus
-    from equiaudit.cli import DEFAULT_CONFIG
-
-    geo, seed = DEFAULT_CONFIG["geometry"], DEFAULT_CONFIG["seed"]
-    model = build_model(DEFAULT_CONFIG["model"], geo["spacing"], np.random.default_rng(seed))
-    corpus = make_corpus(
-        GridGeometry(geo["extent"], geo["spacing"]),
-        seed=seed,
-        include_glyphs=DEFAULT_CONFIG["corpus"]["glyphs"],
-    )
-    tracemalloc.start()
-    full_paper_audit(model, DEFAULT_CONFIG["transforms"], corpus, geo["refinements"])
-    return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        tracemalloc.start()
+        code = main(["audit", "--deterministic", "--out", tmp])
+        peak = tracemalloc.get_traced_memory()[1]
+    if code != 0:
+        raise RuntimeError(f"equiaudit audit exited {code}")
+    return peak / 2 ** 20
 
 
 def _env(checkout: Path) -> dict:
