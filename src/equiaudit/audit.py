@@ -207,7 +207,7 @@ def naturality_check(
     residuals = []
     scale = 1.0
     for k in range(refinements):
-        fk, lamk = (refine(f, 2 ** k), refine_filter(lam, 2 ** k)) if k else (f, lam)
+        fk, lamk = refine(f, 2 ** k), refine_filter(lam, 2 ** k)
         hk = fk.spacing
         tf = transform_filter(lamk, T)
         lhs = resample_affine(convolve(resample_affine(fk, T), lamk), inv)
@@ -590,7 +590,7 @@ def _alignment_sweep(
         r_op = ops[k].declared_receptive_radius or 0.0
         masks = None
         for i, f in enumerate(corpus):
-            f = refine(f, 2 ** k) if k else f
+            f = refine(f, 2 ** k)
             base = ops[k](f)
             if masks is None:  # once per map and level
                 geom = base.geometry
@@ -648,7 +648,7 @@ def full_paper_audit(
     audited = sorted({0, kf})  # alignment runs at the coarsest and finest spacings
     channel = 0
 
-    models = {k: refine_model(model, 2 ** k) if k else model for k in audited}
+    models = {k: refine_model(model, 2 ** k) for k in audited}
     # ops feed only laws judged against tol(h) (alignment, generator
     # invariance, contraction), so they run on convolve's FFT engine; every
     # other law below calls the direct engine
@@ -660,7 +660,7 @@ def full_paper_audit(
     # FFT rounding can lift a relu channel that is exactly 0.0 to +-1e-18.
     # It stops at the first nonconstant response, usually the first entry
     exact_op = model_channel_operator(models[kf], channel=channel)
-    direct = (exact_op(refine(f, 2 ** kf) if kf else f).values for f in corpus)
+    direct = (exact_op(refine(f, 2 ** kf)).values for f in corpus)
     first = next(direct)
     c0 = first.flat[0]
     if np.all(first == c0) and all(np.all(v == c0) for v in direct):
@@ -787,7 +787,7 @@ def full_paper_audit(
 
         # shifts commute with the warp; the finest-level bump is dropped before
         # the next transform's naturality ladder
-        comm_f = refine(corpus[nat_index], 2 ** kf) if kf else corpus[nat_index]
+        comm_f = refine(corpus[nat_index], 2 ** kf)
         comm = commutation_check(T, (hf, 0.0), comm_f)
         comm_scale = max(comm_f.sup_norm(), 1e-300)
         del comm_f

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 from datetime import datetime, timezone
@@ -41,7 +40,7 @@ from .conv import (
     load_model,
 )
 from .errors import EquiauditError
-from .grid import Grid, GridGeometry, distance, interior_mask, render, resample_affine
+from .grid import GridGeometry, _sum_grids, distance, interior_mask, render, resample_affine
 from .gridio import save_pgm16
 from .transform import LinearMap2, alignment_admits_invariance, classify, parse_transform
 
@@ -94,7 +93,7 @@ def _run_config(raw: dict) -> dict:
         raise ValueError("transforms must be a nonempty list of spec strings")
     seen = {}
     for spec in transforms:
-        parse_transform(str(spec))  # fail fast on malformed specs
+        parse_transform(str(spec)).inverse().operator_norm()  # fail fast on bad maps
         # a spec's curves and images are named after it
         name = _safe_name(f"alignment[{spec}]")
         if name in seen:
@@ -148,12 +147,8 @@ def _effective_config(args) -> dict:
         raw["model"] = args.model_file
     if args.out is not None:
         raw["out"] = args.out
-    # precedence: --seed, then EQUIAUDIT_SEED, then the config file
-    env_seed = os.environ.get("EQUIAUDIT_SEED")
     if args.seed is not None:
         raw["seed"] = args.seed
-    elif env_seed is not None:
-        raw["seed"] = json_integer(env_seed, "EQUIAUDIT_SEED")
     return _run_config(raw)
 
 
@@ -238,11 +233,9 @@ def _demo_wm_rotation(out_dir: Path, spacing: float) -> str:
     )
     geom = GridGeometry(1.6, h)
     u_s = 0.12
-    scene_vals = (
-        glyph("W", (0.5, 0.3), u_s, geom).values
-        + glyph("M", (-0.4, -0.35), u_s, geom).values
+    scene = _sum_grids(
+        [glyph("W", (0.5, 0.3), u_s, geom), glyph("M", (-0.4, -0.35), u_s, geom)]
     )
-    scene = Grid(geom, scene_vals)
     rot = LinearMap2.rotation(180.0)
     resp = model_forward(scene, model)
     rotated = resample_affine(scene, rot)

@@ -126,9 +126,7 @@ class Filter:
         r = float(self.support_radius)
         if not r >= 0.0:
             raise ValueError(f"support radius must be nonnegative, got {r}")
-        X, Y = self.grid.geometry.coords()
-        outside = np.hypot(X, Y) > r + _RADIUS_TOL
-        if np.any(self.grid.values[outside] != 0.0):
+        if support_estimate(self.grid, 0.0).radius > r + _RADIUS_TOL:
             raise ValueError("filter has nonzero samples beyond its support radius")
         object.__setattr__(self, "support_radius", r)
 
@@ -636,12 +634,15 @@ def random_radial_filter(
 
 
 def refine_filter(lam: Filter, factor: int) -> Filter:
-    """Same filter at spacing/factor (re-rendered from its source when present).
+    """Same filter at spacing/factor (re-rendered from its source when present);
+    lam itself at factor 1.
 
     Finer sampling can reveal support the coarse measurement missed, so the
     radius is re-measured and can only grow toward the true bound.
     """
     g = refine(lam.grid, factor)
+    if g is lam.grid:  # factor 1
+        return lam
     measured = support_estimate(g, 0.0).radius
     return Filter(g, max(lam.support_radius, measured))
 

@@ -28,6 +28,7 @@ from .grid import (
     FeatureStack,
     Grid,
     GridGeometry,
+    _sum_grids,
     make_bump,
     pairwise_sum,
     resample_affine,
@@ -117,16 +118,16 @@ def model_channel_operator(
     radius = receptive_radius(model, depth)
     layers = list(model.layers[:depth])
     count = layers[-1].out_channels if layers else 1
+    if not 0 <= channel < count:
+        raise ValueError(f"channel {channel} outside [0, {count})")
     pick = channel
-    if layers and 0 <= channel < count and layers[-1].nonlinearity.kind != "softmax":
+    if layers and layers[-1].nonlinearity.kind != "softmax":
         last = layers[-1]
         kernels = tuple((row[channel],) for row in last.kernels)
         layers[-1] = ConvLayer(kernels, (last.biases[channel],), last.nonlinearity)
         pick = 0
 
     def fn(f: Grid) -> Grid:
-        if not 0 <= channel < count:
-            raise ValueError(f"channel {channel} outside [0, {count})")
         stack = FeatureStack((f,))
         for layer in layers:
             stack = layer_forward(stack, layer, exact)
@@ -232,7 +233,7 @@ def estimate_semilocal_radius(
             bump = make_bump(
                 (dist * math.cos(ang), dist * math.sin(ang)), rho, amp, geom
             )
-            probe = Grid(geom, base.values + bump.values)
+            probe = _sum_grids([base, bump])
             if abs(generator_eval(op, probe) - mu_base) > tol:
                 ok = False
                 break

@@ -505,8 +505,8 @@ def distance(
     f: Grid, g: Grid, norm: str = "sup", mask: Optional[np.ndarray] = None
 ) -> float:
     """The package's one residual: how far apart two same-geometry fields are,
-    over the samples where the boolean ``mask`` is set (every sample when it
-    is None).
+    over the samples where ``mask``, a boolean array of the fields' shape, is
+    set (every sample when it is None).
 
     'sup' = max |f - g| over those samples, 0.0 for an empty mask;
     'l1' = h^2-weighted sum of |f - g| with every unmasked sample counted as
@@ -520,6 +520,8 @@ def distance(
     if key not in ("sup", "l1"):
         raise ValueError(f"unknown norm {norm!r}; expected 'sup' or 'l1'")
     diff = np.subtract(f.values, g.values)
+    if mask is not None and (getattr(mask, "dtype", None) != bool or mask.shape != diff.shape):
+        raise ValueError(f"mask must be a boolean array of shape {diff.shape}")
     np.abs(diff, out=diff)
     if mask is not None:
         diff *= mask  # |d| * False is +0.0, so the max and sum ignore it
@@ -544,10 +546,12 @@ def support_estimate(f: Grid, threshold: float) -> SupportEstimate:
 
 
 def refine(f: Grid, factor: int) -> Grid:
-    """Same extent at spacing/factor; re-renders from the analytic source when
-    available, otherwise interpolates bilinearly (coarse nodes reproduce exactly)."""
-    if not float(factor).is_integer() or factor < 2:
-        raise ValueError(f"refinement factor must be an integer >= 2, got {factor}")
+    """f at spacing/factor, f itself at factor 1: re-rendered from the analytic
+    source when available, otherwise bilinear (coarse nodes reproduce exactly)."""
+    if not float(factor).is_integer() or factor < 1:
+        raise ValueError(f"refinement factor must be a positive integer, got {factor}")
+    if factor == 1:
+        return f
     fine = GridGeometry(f.geometry.extent, f.geometry.spacing / int(factor))
     if f.source is not None:
         return render(fine, f.source)
@@ -560,8 +564,6 @@ def subsample(f: Grid, factor: int) -> Grid:
     if not float(factor).is_integer() or factor < 1:
         raise ValueError(f"subsample factor must be a positive integer, got {factor}")
     factor = int(factor)
-    if factor == 1:
-        return Grid(f.geometry, f.values, source=f.source)
     m = f.geometry.half_count
     if m % factor != 0:
         raise GeometryMismatchError(

@@ -109,8 +109,11 @@ class LinearMap2:
         return np.array([self.a * x + self.b * y, self.c * x + self.d * y])
 
     def operator_norm(self) -> float:
-        """Largest singular value by the closed 2x2 form."""
-        s = self.a**2 + self.b**2 + self.c**2 + self.d**2
+        """Largest singular value by the closed 2x2 form; overflow is a ValueError."""
+        try:
+            s = self.a**2 + self.b**2 + self.c**2 + self.d**2
+        except OverflowError:
+            raise ValueError(f"map {self} has entries too large for its operator norm") from None
         dt = abs(self.det)
         gap = max(s * s - 4.0 * dt * dt, 0.0)
         return math.sqrt((s + math.sqrt(gap)) / 2.0)

@@ -466,6 +466,8 @@ def test_refine_filter_re_renders_and_remeasures():
     assert fine.grid.geometry.spacing == pytest.approx(0.02)
     assert np.array_equal(fine.grid.values[::2, ::2], lam.grid.values)
     assert fine.support_radius >= lam.support_radius - 1e-12
+    # factor 1 is the filter itself, radius not re-measured
+    assert refine_filter(lam, 1) is lam
 
 
 def test_model_json_round_trip(tmp_path):

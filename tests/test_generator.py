@@ -65,6 +65,13 @@ def test_generator_eval_domain_fit():
         generator_eval(convolution_operator(lam), zeros(g))
 
 
+def test_model_channel_operator_rejects_a_channel_when_built():
+    model = _small_model(seed=5, layers=2)
+    for depth, channel in ((None, 2), (None, -1), (0, 1)):
+        with pytest.raises(ValueError, match="outside"):
+            model_channel_operator(model, depth=depth, channel=channel)
+
+
 def test_model_channel_operator_depths():
     model = _small_model(seed=5, layers=2)
     g = GridGeometry(0.8, 0.05)

@@ -210,6 +210,24 @@ def test_resample_composition_close_to_single_warp():
     assert float(np.abs(two.values - one.values).max()) <= 60.0 * g.spacing ** 2
 
 
+@pytest.mark.parametrize("kind", ["1-d", "half", "double"])
+def test_distance_rejects_a_mask_that_is_not_a_boolean_field(kind):
+    # a 1-D mask would broadcast along the rows, and a float mask would scale
+    # the residual (0.5 halves the sup, 2 doubles the l1)
+    g = GridGeometry(1.0, 0.05)
+    a = make_bump((-0.4, 0.0), 0.25, 1.0, g)
+    b = make_bump((0.4, 0.0), 0.25, 1.0, g)
+    n = g.size
+    mask = {
+        "1-d": np.ones(n, dtype=bool),
+        "half": np.full((n, n), 0.5),
+        "double": np.full((n, n), 2.0),
+    }[kind]
+    for norm in ("sup", "l1"):
+        with pytest.raises(ValueError, match="mask must be a boolean array"):
+            distance(a, b, norm, mask)
+
+
 def test_distance_norms():
     g = GridGeometry(1.0, 0.05)
     a = make_bump((-0.4, 0.0), 0.25, 1.0, g)
@@ -240,8 +258,7 @@ def test_support_estimate_disc_area():
 def test_refine_rejects_bad_factor_and_preserves_nodes():
     g = GridGeometry(1.0, 0.1)
     f = make_bump((0.1, -0.2), 0.4, 1.0, g)
-    with pytest.raises(ValueError):
-        refine(f, 1)
+    assert refine(f, 1) is f
     fine = refine(f, 2)
     assert fine.spacing == pytest.approx(0.05)
     # coarse nodes are shared and re-rendered from the same source
@@ -250,7 +267,7 @@ def test_refine_rejects_bad_factor_and_preserves_nodes():
     assert np.array_equal(back.values, f.values)
     with pytest.raises(GeometryMismatchError):
         subsample(fine, 8)  # half-count 20 not divisible by 8
-    for bad in (1.5, math.nan, math.inf):
+    for bad in (0, 1.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="subsample factor"):
             subsample(fine, bad)
         with pytest.raises(ValueError, match="refinement factor"):

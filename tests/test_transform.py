@@ -46,6 +46,12 @@ def test_operator_norm_golden_ratio_for_unit_shear():
     assert T.operator_norm() == pytest.approx(GOLDEN_RATIO, rel=1e-12)
 
 
+def test_operator_norm_overflow_is_a_value_error_naming_the_map():
+    # 1e300 ** 2 overflows a float; the error names the map
+    with pytest.raises(ValueError, match=r"map \[\[1, 1e\+300\], \[0, 1\]\]"):
+        LinearMap2.shear(1e300).operator_norm()
+
+
 def test_operator_norm_matches_svd():
     rng = np.random.default_rng(8)
     for _ in range(50):

@@ -24,8 +24,11 @@ Per checkout it records:
   fresh process: model build, audit and writing the outputs into a temporary
   directory. It counts live allocations only, so unlike the resident peak it
   does not move with the allocator's heap layout;
-- ``depth``: one run each of the default audit at ``refinements`` 4 and 5,
-  with its wall time ``audit_s`` and its ``peak_rss_mb``;
+- ``depth``: the default audit at ``refinements`` 4 and 5, with its wall
+  time ``audit_s`` and its ``peak_rss_mb``, in DEPTH_ROUNDS rounds that
+  alternate the order of the checkouts like the rounds above (the time at 5
+  moves by about 10 % between fresh runs, so one run cannot tell a change
+  from noise): the median over rounds, each round's value and the wins;
 - ``suite_s``: wall time of one tier-1 pytest run in the checkout, and its
   summary line;
 - ``convolve``, ``resample_affine`` and ``layer_forward``: per-call times,
@@ -73,6 +76,7 @@ LAYER_CHANNELS = ((1, 1), (2, 2), (4, 4))
 # ten rounds: three cannot tell a 10-20 % difference on a shared machine
 ROUNDS = 10
 DEPTHS = (4, 5)
+DEPTH_ROUNDS = 5
 MIN_REPEATS = 3
 MAX_REPEATS = 25
 MIN_SECONDS = 1.0
@@ -197,6 +201,8 @@ def traced_peak_mb() -> float:
 def _env(checkout: Path) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(checkout / "src")
+    # the package reads no seed from the environment, but older checkouts
+    # compared against it let EQUIAUDIT_SEED override the config's seed
     env.pop("EQUIAUDIT_SEED", None)
     return env
 
@@ -232,17 +238,22 @@ def _audit(env: dict, *args: str) -> tuple:
     return wall, usage.ru_maxrss / 1024.0
 
 
-def _memory(checkout: Path) -> dict:
-    env = _env(checkout)
+def _traced_peak(checkout: Path) -> float:
     traced = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--traced-peak"],
-        env=env, capture_output=True, text=True, check=True,
+        env=_env(checkout), capture_output=True, text=True, check=True,
     )
-    depth = {}
+    return float(traced.stdout)
+
+
+def _depth_round(checkout: Path) -> dict:
+    """Wall time and peak resident memory of one audit per depth."""
+    env = _env(checkout)
+    out = {}
     for r in DEPTHS:
         audit_s, rss_mb = _audit(env, "--refinements", str(r))
-        depth[f"refinements_{r}"] = {"audit_s": audit_s, "peak_rss_mb": rss_mb}
-    return {"stock_audit_traced_peak_mb": float(traced.stdout), "depth": depth}
+        out[f"refinements_{r}"] = {"audit_s": audit_s, "peak_rss_mb": rss_mb}
+    return out
 
 
 def _suite(checkout: Path) -> dict:
@@ -259,27 +270,29 @@ def _suite(checkout: Path) -> dict:
     }
 
 
-def _combine(rounds: dict, name: str) -> dict:
-    """Median over rounds, every round's value and the win count of each
-    timing of checkout ``name``; ``rounds`` maps every checkout to its rounds."""
+def _record(rounds: dict, name: str, get, unit: str = "") -> dict:
+    """Median over rounds, every round's value and the win count (rounds in
+    which it was lowest) of the value ``get`` reads from a round of checkout
+    ``name``; ``rounds`` maps every checkout to its rounds."""
     mine = rounds[name]
+    wins = sum(all(get(r) <= get(o[i]) for o in rounds.values()) for i, r in enumerate(mine))
+    values = [get(r) for r in mine]
+    return {f"median{unit}": statistics.median(values), f"rounds{unit}": values, "wins": wins}
 
-    def record(get, unit):
-        wins = sum(
-            all(get(r) <= get(o[i]) for o in rounds.values()) for i, r in enumerate(mine)
-        )
-        values = [get(r) for r in mine]
-        return {f"median{unit}": statistics.median(values), f"rounds{unit}": values, "wins": wins}
 
+def _combine(rounds: dict, name: str) -> dict:
+    """The recorded timings of checkout ``name``; ``rounds`` maps every
+    checkout to its rounds."""
+    mine = rounds[name]
     out = {
         "numpy": mine[0]["layers"]["numpy"],
         "scipy": mine[0]["layers"]["scipy"],
-        "stock_audit_s": record(lambda r: r["stock_audit_s"], ""),
-        "stock_audit_peak_rss_mb": record(lambda r: r["stock_audit_peak_rss_mb"], ""),
+        "stock_audit_s": _record(rounds, name, lambda r: r["stock_audit_s"]),
+        "stock_audit_peak_rss_mb": _record(rounds, name, lambda r: r["stock_audit_peak_rss_mb"]),
     }
     for family in ("convolve", "convolve_fft", "resample_affine", "translate", "layer_forward"):
         out[family] = {
-            key: record(lambda r, f=family, k=key: r["layers"][f][k], "_ms")
+            key: _record(rounds, name, lambda r, f=family, k=key: r["layers"][f][k], "_ms")
             for key in mine[0]["layers"][family]
         }
     out["convolve_fft_max_rel_diff"] = {
@@ -323,9 +336,21 @@ def main() -> int:
         for name, checkout in checkouts if r % 2 == 0 else checkouts[::-1]:
             print(f"round {r}: {name} ({checkout})", file=sys.stderr)
             rounds[name].append(_round(checkout))
+    depth_rounds = {name: [] for name, _ in checkouts}
+    for r in range(DEPTH_ROUNDS):
+        for name, checkout in checkouts if r % 2 == 0 else checkouts[::-1]:
+            print(f"depth round {r}: {name} ({checkout})", file=sys.stderr)
+            depth_rounds[name].append(_depth_round(checkout))
     for name, checkout in checkouts:
         report[name] = _combine(rounds, name)
-        report[name].update(_memory(checkout))
+        report[name]["depth"] = {
+            f"refinements_{d}": {
+                key: _record(depth_rounds, name, lambda r, d=d, k=key: r[f"refinements_{d}"][k])
+                for key in ("audit_s", "peak_rss_mb")
+            }
+            for d in DEPTHS
+        }
+        report[name]["stock_audit_traced_peak_mb"] = _traced_peak(checkout)
         report[name].update(_suite(checkout))
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:

@@ -108,6 +108,8 @@ def cases(model_file):
 
 
 def _env(checkout):
+    # the package reads no seed from the environment, but older checkouts
+    # compared against it let EQUIAUDIT_SEED override the config's seed
     env = {k: v for k, v in os.environ.items() if k != "EQUIAUDIT_SEED"}
     env["PYTHONPATH"] = str(checkout / "src")
     return env
