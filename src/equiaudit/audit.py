@@ -682,6 +682,7 @@ def full_paper_audit(
     # and commutation an off-center bump
     nat_index = min(1, len(corpus) - 1)
     lam0 = model.layers[0].kernels[0][0]
+    lam_n = refine_filter(lam0, 2) if kf else lam0  # aligner necessity at level 1
     fine_kernels = [
         lam for layer in models[kf].layers for row in layer.kernels for lam in row
     ]
@@ -813,7 +814,6 @@ def full_paper_audit(
                 )
             )
         else:
-            lam_n = refine_filter(lam0, 2) if kf else lam0
             cert = norot_counterexample(lam_n, lam_n, T)
             checks.append(
                 _check(
@@ -904,34 +904,6 @@ def full_paper_audit(
                 "floor_confirmed": floor_confirmed,
                 "consistent": expected_aligned == aligned and (aligned or floor_confirmed),
             }
-        )
-
-    # global mollifier recovery on a first-layer kernel at the finest spacing;
-    # an empty transform list requests nothing, so the bundle stays empty
-    if parsed:
-        lam_fine = models[kf].layers[0].kernels[0][0]
-        n_steps, sigma0 = 2, 8.0 * hf
-        pairs = mollifier_recover_filter(lam_fine, n_steps, sigma0)
-        lam_l1 = max(lam_fine.grid.l1_norm(), 1e-300)
-        errs = [e for _, e in pairs]
-        tail = errs[-3:]
-        recovered = all(
-            b <= a + 1e-12 * lam_l1 for a, b in zip(tail, tail[1:])
-        ) and errs[-1] <= 0.05 * lam_l1
-        checks.append(
-            _check(
-                "filter-recovery",
-                "filter-recovery",
-                {
-                    "sigma0": sigma0,
-                    "n_steps": n_steps,
-                    "sigmas": [s for s, _ in pairs],
-                    "errors": errs,
-                    "filter_l1": lam_l1,
-                },
-                errs[-1] / lam_l1,
-                "recovered" if recovered else "smoothing_limited",
-            )
         )
 
     checks.sort(key=lambda c: c["name"])

@@ -93,7 +93,11 @@ def _run_config(raw: dict) -> dict:
         raise ValueError("transforms must be a nonempty list of spec strings")
     seen = {}
     for spec in transforms:
-        parse_transform(str(spec)).inverse().operator_norm()  # fail fast on bad maps
+        T = parse_transform(str(spec))
+        try:  # fail fast on maps the warps cannot address
+            T.inverse().operator_norm()
+        except ValueError as e:
+            raise ValueError(f"transform {spec!r}: {e}") from None
         # a spec's curves and images are named after it
         name = _safe_name(f"alignment[{spec}]")
         if name in seen:

@@ -109,14 +109,18 @@ class LinearMap2:
         return np.array([self.a * x + self.b * y, self.c * x + self.d * y])
 
     def operator_norm(self) -> float:
-        """Largest singular value by the closed 2x2 form; overflow is a ValueError."""
+        """Largest singular value by the closed 2x2 form; a norm that overflows
+        a float is a ValueError."""
         try:
             s = self.a**2 + self.b**2 + self.c**2 + self.d**2
         except OverflowError:
-            raise ValueError(f"map {self} has entries too large for its operator norm") from None
+            s = math.inf
         dt = abs(self.det)
         gap = max(s * s - 4.0 * dt * dt, 0.0)
-        return math.sqrt((s + math.sqrt(gap)) / 2.0)
+        norm = math.sqrt((s + math.sqrt(gap)) / 2.0)
+        if not math.isfinite(norm):
+            raise ValueError(f"map {self} has entries too large for its operator norm")
+        return norm
 
     def max_entry_distance(self, other: "LinearMap2") -> float:
         return max(
@@ -164,14 +168,13 @@ class TransformClass:
         return self.kind
 
 
-def _finite_order(T: LinearMap2) -> Optional[int]:
-    ident = LinearMap2.identity()
-    thresh = _CLASSIFY_TOL * max(1.0, T.operator_norm())
-    power = T
+def _finite_order(angle: float) -> Optional[int]:
+    """Smallest k <= _MAX_ORDER with k * angle within _CLASSIFY_TOL of a
+    multiple of 2 pi: the order of a map conjugate to the rotation by angle."""
     for k in range(1, _MAX_ORDER + 1):
-        if power.max_entry_distance(ident) <= thresh:
+        turns = k * angle
+        if abs(turns - 2.0 * math.pi * round(turns / (2.0 * math.pi))) <= _CLASSIFY_TOL:
             return k
-        power = power.compose(T)
     return None
 
 
@@ -180,9 +183,11 @@ def classify(T: LinearMap2) -> TransformClass:
 
     Branch order: identity, then modulus (|det| away from 1 means some
     eigenvalue leaves the unit circle: contracting_or_expanding), then the
-    unimodular cases split by sign of det and of the discriminant. Entries
-    are compared to within 1e-9, and a rotation-conjugate map counts as of
-    finite order when some power up to the 360th is the identity.
+    unimodular cases split by sign of det and of the discriminant. Only the
+    conjugacy invariants trace and det are compared, to within 1e-9 (the
+    identity and half-turn tests compare entries), and a rotation-conjugate
+    map counts as of finite order when some multiple up to the 360th of its
+    canonical angle is a whole number of turns.
     """
     if abs(T.det) <= _SING_TOL:
         raise SingularMapError(f"cannot classify singular map {T}")
@@ -197,9 +202,8 @@ def classify(T: LinearMap2) -> TransformClass:
 
     if dt < 0.0:
         # eigenvalues are real with product -1; both on the unit circle
-        # exactly when the trace vanishes, i.e. T*T = I.
-        t2 = T.compose(T)
-        if t2.max_entry_distance(ident) <= 10.0 * _CLASSIFY_TOL * max(1.0, T.operator_norm() ** 2):
+        # exactly when the trace vanishes, since T*T - I = tr T here
+        if abs(tr) <= 4.0 * _CLASSIFY_TOL * max(1.0, abs(T.a) + abs(T.d)):
             return TransformClass("reflection_conjugate", order=2)
         return TransformClass("contracting_or_expanding")
 
@@ -213,7 +217,7 @@ def classify(T: LinearMap2) -> TransformClass:
     band = 4.0 * _CLASSIFY_TOL * max(1.0, abs(tr))
     if disc < -band:
         angle = math.atan2(math.sqrt(-disc) / 2.0, tr / 2.0)
-        order = _finite_order(T)
+        order = _finite_order(angle)
         if order is None:
             return TransformClass("elliptic_infinite", canonical_angle=angle)
         return TransformClass("elliptic_finite_order", order=order, canonical_angle=angle)

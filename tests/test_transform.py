@@ -52,6 +52,12 @@ def test_operator_norm_overflow_is_a_value_error_naming_the_map():
         LinearMap2.shear(1e300).operator_norm()
 
 
+def test_operator_norm_that_is_not_finite_is_a_value_error():
+    # 1e150 ** 2 is finite, but the closed form squares it again
+    with pytest.raises(ValueError, match="too large for its operator norm"):
+        LinearMap2.shear(1e150).operator_norm()
+
+
 def test_operator_norm_matches_svd():
     rng = np.random.default_rng(8)
     for _ in range(50):
@@ -139,6 +145,45 @@ def test_classify_is_conjugacy_invariant():
             assert got.kind == kind, f"{kind}: got {got.kind}"
             if kind == "elliptic_finite_order":
                 assert got.order == classify(T).order
+
+
+@pytest.mark.parametrize("spec", ["mat:0,1e10,-1e-10,0", "mat:0,1e100,-1e-100,0"])
+def test_classify_quarter_turn_conjugate_with_extreme_entries(spec):
+    # T^2 = -I whatever the entries' size, so T has order 4
+    c = classify(parse_transform(spec))
+    assert c.kind == "elliptic_finite_order"
+    assert c.order == 4
+    assert c.canonical_angle == pytest.approx(math.pi / 2)
+
+
+def test_classify_order_of_conjugated_rotations_up_to_360():
+    # rot(360/n) conjugated by R(phi) diag(sqrt(k), 1/sqrt(k)), k up to 1e3:
+    # every conjugate has order n, however skewed
+    rng = np.random.default_rng(7)
+    wrong = []
+    for n in range(3, 361):
+        R = LinearMap2.rotation(360.0 / n)
+        for _ in range(4):
+            phi = rng.uniform(0.0, 360.0)
+            kappa = 10.0 ** rng.uniform(0.0, 3.0)
+            B = LinearMap2.rotation(phi).compose(
+                LinearMap2.scaling(math.sqrt(kappa), 1.0 / math.sqrt(kappa))
+            )
+            c = classify(B.compose(R).compose(B.inverse()))
+            if (c.kind, c.order) != ("elliptic_finite_order", n):
+                wrong.append((n, kappa, c.label()))
+    assert wrong == []
+
+
+def test_classify_reflection_needs_a_vanishing_trace():
+    # det -1 and T^2 - I = tr T: a reflection conjugate has trace 0 however
+    # large its entries, and a trace of 5e-7 gives eigenvalues 1 +- 2.5e-7
+    # off the unit circle, however close T^2 is to I relative to |T|^2
+    assert classify(parse_transform("mat:-1,1e300,0,1")).kind == "reflection_conjugate"
+    tr = 5e-7
+    T = LinearMap2(tr / 2, 100.0, (tr * tr / 4 + 1.0) / 100.0, tr / 2)
+    assert T.det == pytest.approx(-1.0, abs=1e-12)
+    assert classify(T).kind == "contracting_or_expanding"
 
 
 def test_classify_singular_raises():

@@ -21,9 +21,9 @@ Per checkout it records:
   process (its ``ru_maxrss``, read with ``os.wait4``), per round;
 - ``stock_audit_traced_peak_mb``: the ``tracemalloc`` peak of one in-process
   ``equiaudit audit --deterministic`` of the built-in default config, in a
-  fresh process: model build, audit and writing the outputs into a temporary
-  directory. It counts live allocations only, so unlike the resident peak it
-  does not move with the allocator's heap layout;
+  fresh process per round: model build, audit and writing the outputs into a
+  temporary directory. It counts live allocations only, so unlike the
+  resident peak it does not move with the allocator's heap layout;
 - ``depth``: the default audit at ``refinements`` 4 and 5, with its wall
   time ``audit_s`` and its ``peak_rss_mb``, in DEPTH_ROUNDS rounds that
   alternate the order of the checkouts like the rounds above (the time at 5
@@ -214,10 +214,15 @@ def _round(checkout: Path) -> dict:
         env=env, capture_output=True, text=True, check=True,
     )
     audit_s, rss_mb = _audit(env)
+    traced = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--traced-peak"],
+        env=env, capture_output=True, text=True, check=True,
+    )
     return {
         "layers": json.loads(layers.stdout),
         "stock_audit_s": audit_s,
         "stock_audit_peak_rss_mb": rss_mb,
+        "stock_audit_traced_peak_mb": float(traced.stdout),
     }
 
 
@@ -236,14 +241,6 @@ def _audit(env: dict, *args: str) -> tuple:
     if proc.returncode != 0:
         raise subprocess.CalledProcessError(proc.returncode, proc.args)
     return wall, usage.ru_maxrss / 1024.0
-
-
-def _traced_peak(checkout: Path) -> float:
-    traced = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--traced-peak"],
-        env=_env(checkout), capture_output=True, text=True, check=True,
-    )
-    return float(traced.stdout)
 
 
 def _depth_round(checkout: Path) -> dict:
@@ -289,6 +286,9 @@ def _combine(rounds: dict, name: str) -> dict:
         "scipy": mine[0]["layers"]["scipy"],
         "stock_audit_s": _record(rounds, name, lambda r: r["stock_audit_s"]),
         "stock_audit_peak_rss_mb": _record(rounds, name, lambda r: r["stock_audit_peak_rss_mb"]),
+        "stock_audit_traced_peak_mb": _record(
+            rounds, name, lambda r: r["stock_audit_traced_peak_mb"]
+        ),
     }
     for family in ("convolve", "convolve_fft", "resample_affine", "translate", "layer_forward"):
         out[family] = {
@@ -350,7 +350,6 @@ def main() -> int:
             }
             for d in DEPTHS
         }
-        report[name]["stock_audit_traced_peak_mb"] = _traced_peak(checkout)
         report[name].update(_suite(checkout))
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:

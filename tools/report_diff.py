@@ -31,7 +31,10 @@ trace overflows and a rotation conjugated by a shear. A case is identical
 when stdout, stderr, the exit code and every file of its output directory
 (``report.json``, ``curves/``, ``images/``, or a demo's summary and images;
 ``classify`` writes none) match byte for byte. Prints one line per case and
-exits 1 when any case differs, 0 when none does.
+exits 1 when any case differs, 0 when none does. When a case's
+``report.json`` differs, a second line names what changed in it: the checks
+on one side only (``removed`` from the parent, ``added`` by the change), the
+checks on both sides that differ, and the other top-level keys that differ.
 """
 
 import ast
@@ -141,6 +144,25 @@ def differences(a, b):
     return diffs
 
 
+def report_changes(a, b):
+    """What differs between two report.json byte strings, as one line."""
+    reports = [json.loads(r) for r in (a, b)]
+    checks = [{c["name"]: c for c in r.pop("checks", [])} for r in reports]
+    names = sorted(set(checks[0]) | set(checks[1]))
+    lists = {
+        "removed": [n for n in names if n not in checks[1]],
+        "added": [n for n in names if n not in checks[0]],
+        "changed": [
+            n for n in names if n in checks[0] and n in checks[1] and checks[0][n] != checks[1][n]
+        ],
+        "changed keys": [
+            k for k in sorted(set(reports[0]) | set(reports[1]))
+            if reports[0].get(k) != reports[1].get(k)
+        ],
+    }
+    return "; ".join(f"{what} {', '.join(items)}" for what, items in lists.items() if items)
+
+
 def main(argv):
     if len(argv) != 2:
         print("usage: python3 tools/report_diff.py PARENT_DIR CHANGE_DIR", file=sys.stderr)
@@ -166,6 +188,9 @@ def main(argv):
             n_diff += bool(diffs)
             status = "DIFF " + ", ".join(diffs) if diffs else "same"
             print(f"{name}: exit {runs[0]['exit']}, {len(runs[0]['files'])} files, {status}")
+            if "report.json" in diffs and all("report.json" in r["files"] for r in runs):
+                changes = report_changes(*(r["files"]["report.json"] for r in runs))
+                print(f"  report.json: {changes or 'same values, other bytes'}")
     if n_diff:
         print(f"differ: {n_diff} of {len(all_cases)} cases")
         return 1
