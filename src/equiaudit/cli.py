@@ -88,14 +88,19 @@ def _run_config(raw: dict) -> dict:
     refinements = json_integer(geo["refinements"], "geometry.refinements")
     if refinements < 1:
         raise ValueError("geometry.refinements must be >= 1")
+    extent = json_number(geo["extent"], "geometry.extent")
+    spacing = json_number(geo["spacing"], "geometry.spacing")
+    GridGeometry(extent, spacing)
     transforms = raw.get("transforms", DEFAULT_CONFIG["transforms"])
     if not isinstance(transforms, (list, tuple)) or not transforms:
         raise ValueError("transforms must be a nonempty list of spec strings")
     seen = {}
     for spec in transforms:
         T = parse_transform(str(spec))
-        try:  # fail fast on maps the warps cannot address
-            T.inverse().operator_norm()
+        # fail fast on maps the warps cannot address: T^-1 needs a finite
+        # norm, and the domain it pulls back must be addressable at the spacing
+        try:
+            GridGeometry(T.inverse().operator_norm() * extent, spacing)
         except ValueError as e:
             raise ValueError(f"transform {spec!r}: {e}") from None
         # a spec's curves and images are named after it
@@ -114,8 +119,8 @@ def _run_config(raw: dict) -> dict:
         raise ValueError(f"out must be a nonempty path string, got {out!r}")
     return {
         "geometry": {
-            "extent": json_number(geo["extent"], "geometry.extent"),
-            "spacing": json_number(geo["spacing"], "geometry.spacing"),
+            "extent": extent,
+            "spacing": spacing,
             "refinements": refinements,
         },
         "transforms": [str(s) for s in transforms],

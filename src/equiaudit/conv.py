@@ -23,20 +23,26 @@ ascending column), each adding its weighted shifted copy of the input to the
 accumulator. Zero taps are skipped, so zero-padding a kernel (as
 transform_filter and embed_filter do) leaves every output bit unchanged.
 
+Both engines read the input's stored box (Grid.box) and the kernel's, so
+neither scans the domain for zeros, and each hands its output to Grid
+with the region it wrote, so the output's box is scanned there only.
+
 The work is bounded by the input's support, not the domain. The input's
-nonzero bounding box (hb x wb samples) is copied into a flat buffer whose
-row stride is the accumulator's width wb + 2c (c the kernel half-width), so
-every tap is one contiguous multiply and one contiguous add: nonzero taps x
-box rows x (wb + 2c) samples in all, in 1-D passes without strided
-iteration. The 2c-wide gap after each box row holds +0.0, so a tap adds
-w * (+-0.0) wherever its shifted copy of a gap lands, and box rows whose
+box (hb x wb samples) is copied into a flat buffer whose row stride is the
+accumulator's width wb + 2c (c the kernel half-width), so every tap is one
+contiguous multiply and one contiguous add: nonzero taps x box rows x
+(wb + 2c) samples in all, in 1-D passes without strided iteration. The
+2c-wide gap after each box row holds +0.0, so a tap adds w * (+-0.0)
+wherever its shifted copy of a gap lands, and box rows whose
 outputs fall outside the domain are skipped. An accumulator that starts at
 +0.0 never becomes -0.0, and adding +-0.0 changes no other value, so each
 output sample gets the same nonzero products in the same tap order as a sum
 over the whole domain, bit for bit; every output beyond the dilated box is
 exactly +0.0.
 
-FFT engine. The input's nonzero box and the kernel's nonzero box are
+FFT engine. The input's nonzero box and the kernel's nonzero box (of the
+samples != 0.0, scanned inside the stored boxes, which may also hold -0.0
+samples; these boxes set the transform sizes, and so the bits) are
 zero-padded to the smallest 2^a 3^b 5^c sizes that hold their full linear
 convolution, so the circular product of numpy.fft.rfft2 spectra wraps
 nothing; irfft2 gives that convolution, which is scaled by h^2 and written
@@ -69,6 +75,7 @@ from .grid import (
     _close,
     _nonzero_box,
     _sum_grids,
+    _union,
     embed,
     refine,
     render,
@@ -146,9 +153,10 @@ def convolve(f: Grid, lam: Filter, exact: bool = True) -> Grid:
     """(f * lam)(x) = sum_y lam(y) f(x - y) h^2 with zero reads outside f's domain.
 
     The output shares f's geometry. Both engines validate alike (the spacings
-    must match, and f's extent must exceed lam's support radius), do work only
-    on f's nonzero box, and leave every output beyond that box dilated by
-    the kernel exactly +0.0.
+    must match, and f's extent must exceed lam's support radius), read f's
+    and the kernel's stored boxes instead of scanning for zeros, do work only
+    on f's box, and leave every output beyond that box dilated by the kernel
+    exactly +0.0; the output's box is scanned within the dilated box only.
 
     ``exact=True`` (the default) is the direct sum, the engine every
     exactness law relies on. The nonzero taps are added one at a time in
@@ -182,16 +190,18 @@ def convolve(f: Grid, lam: Filter, exact: bool = True) -> Grid:
         )
     n = f.geometry.size
     out = np.zeros((n, n), dtype=np.float64)
-    box = _nonzero_box(f.values)
-    if box is not None:
+    region = None
+    if f.box is not None and kg.box is not None:
         engine = _direct_sum if exact else _fft_sum
-        engine(f.values, box, kg.values, kg.geometry.half_count, f.spacing, out)
-    return Grid(f.geometry, out)
+        region = engine(f.values, f.box, kg, f.spacing, out)
+    return Grid._adopt(f.geometry, out, region)
 
 
-def _direct_sum(fv: np.ndarray, box, kv: np.ndarray, c: int, h: float, out: np.ndarray) -> None:
+def _direct_sum(fv: np.ndarray, box, kg: Grid, h: float, out: np.ndarray):
     """The direct engine: writes h^2 sum_taps kv[p, q] fv[shifted] into out,
-    tap by tap in row-major order (see convolve)."""
+    tap by tap in row-major order, for f's box ``box`` and the kernel grid
+    ``kg`` (see convolve); returns the index box it wrote."""
+    kv, c = kg.values, kg.geometry.half_count
     n = out.shape[0]
     r0, r1, c0, c1 = box
     hb, wb = r1 - r0, c1 - c0
@@ -209,7 +219,7 @@ def _direct_sum(fv: np.ndarray, box, kv: np.ndarray, c: int, h: float, out: np.n
     # acc[(u + d) * wa + v + q] with d = r0 + p - c - a. Only box rows u whose
     # output row u + d is in the domain are added; they depend on p alone, so
     # each kernel row fixes the run src[u0 * wa : u0 * wa + m] for its taps
-    for p in range(kv.shape[0]):
+    for p in range(kg.box[0], kg.box[1]):
         qs = np.flatnonzero(kv[p])
         d = r0 + p - c - a
         u0, u1 = max(0, -d), min(hb, b - a - d)
@@ -224,14 +234,20 @@ def _direct_sum(fv: np.ndarray, box, kv: np.ndarray, c: int, h: float, out: np.n
             np.add(dst, t, out=dst)
     e, g = max(0, c0 - c), min(n, c1 + c)
     out[a:b, e:g] = acc.reshape(b - a, wa)[:, e - c0 + c : g - c0 + c] * (h * h)
+    return a, b, e, g
 
 
-def _fft_sum(fv: np.ndarray, box, kv: np.ndarray, c: int, h: float, out: np.ndarray) -> None:
-    """The FFT engine: writes h^2 (box of fv) * (box of kv) into out on the
-    dilated box clipped to the domain (see convolve)."""
-    kbox = _nonzero_box(kv)
-    if kbox is None:
-        return
+def _fft_sum(fv: np.ndarray, box, kg: Grid, h: float, out: np.ndarray):
+    """The FFT engine: writes h^2 (nonzero box of fv) * (nonzero box of the
+    kernel) into out on the dilated box clipped to the domain (see
+    convolve); returns the index box it wrote, None when it wrote nothing.
+    The nonzero boxes, which set the transform sizes, are scanned inside
+    the grids' stored boxes."""
+    box = _nonzero_box(fv, box)
+    kv, c = kg.values, kg.geometry.half_count
+    kbox = _nonzero_box(kv, kg.box)
+    if box is None or kbox is None:
+        return None
     n = out.shape[0]
     r0, r1, c0, c1 = box
     p0, p1, q0, q1 = kbox
@@ -247,6 +263,7 @@ def _fft_sum(fv: np.ndarray, box, kv: np.ndarray, c: int, h: float, out: np.ndar
     a, b = max(0, a0), min(n, a0 + rows)
     e, g = max(0, e0), min(n, e0 + cols)
     out[a:b, e:g] = full[a - a0 : b - a0, e - e0 : g - e0] * (h * h)
+    return a, b, e, g
 
 
 def _smooth_size(m: int) -> int:
@@ -419,11 +436,23 @@ def layer_forward(
     stack: Union[Grid, FeatureStack], layer: ConvLayer, exact: bool = True
 ) -> FeatureStack:
     """Every output channel of the layer; ``exact`` picks convolve's engine.
-    Each pre-activation sum_m x_m * k_{m,c} + b_c is summed in ascending m."""
+    Each pre-activation sum_m x_m * k_{m,c} + b_c is summed in ascending m.
+
+    When every bias is 0.0 (of either sign) and the nonlinearity maps +0.0
+    to +0.0 (identity, relu), an output channel is +0.0 wherever all its
+    convolutions are, so the sum, the bias and the nonlinearity are computed
+    only on the union of the convolutions' boxes. Otherwise they run on the
+    whole domain."""
     stack = _as_stack(stack)
     if stack.channel_count != layer.in_channels:
         raise GeometryMismatchError(
             f"stack has {stack.channel_count} channels, layer expects {layer.in_channels}"
+        )
+    geom = stack.geometry
+    nl = layer.nonlinearity
+    if nl.kind in ("identity", "relu") and all(b == 0.0 for b in layer.biases):
+        return FeatureStack(
+            tuple(_boxed_channel(stack, layer, c, exact) for c in range(layer.out_channels))
         )
     pre = None
     for c in range(layer.out_channels):
@@ -435,11 +464,37 @@ def layer_forward(
             pre = np.empty((layer.out_channels,) + acc.shape, dtype=np.float64)
         np.add(acc, layer.biases[c], out=pre[c])
     # pre is made after the first convolutions, and the last sum dropped before
-    # the copies, so both reuse freed memory (fresh pages cost 2 ms at n = 641)
+    # the nonlinearity, so both reuse freed memory (fresh pages cost 2 ms at n = 641)
     del g, acc
-    post = layer.nonlinearity.apply(pre)
-    geom = stack.geometry
-    return FeatureStack(tuple(Grid(geom, post[c]) for c in range(layer.out_channels)))
+    post = nl.apply(pre)
+    n = geom.size
+    return FeatureStack(
+        tuple(Grid._adopt(geom, post[c], (0, n, 0, n)) for c in range(layer.out_channels))
+    )
+
+
+def _boxed_channel(stack: FeatureStack, layer: ConvLayer, c: int, exact: bool) -> Grid:
+    """Output channel c of a layer with zero biases and an identity or relu
+    nonlinearity, computed on the union of its convolutions' boxes: the same
+    operations in the same order as the whole-domain sum, +0.0 elsewhere."""
+    convs = [
+        convolve(stack.channels[m], layer.kernels[m][c], exact=exact)
+        for m in range(layer.in_channels)
+    ]
+    n = stack.geometry.size
+    out = np.zeros((n, n), dtype=np.float64)
+    region = _union(*(g.box for g in convs))
+    if region is not None:
+        r0, r1, c0, c1 = region
+        acc = None
+        for g in convs:
+            v = g.values[r0:r1, c0:c1]
+            acc = v if acc is None else acc + v
+        part = out[r0:r1, c0:c1]
+        np.add(acc, layer.biases[c], out=part)
+        if layer.nonlinearity.kind == "relu":
+            np.maximum(part, 0.0, out=part)
+    return Grid._adopt(stack.geometry, out, region)
 
 
 def model_forward_stages(
@@ -476,7 +531,8 @@ def transform_filter(lam: Filter, T: LinearMap2) -> Filter:
     if warped.source is not None:
         wsrc = warped.source
         src = lambda x, y: adet * wsrc(x, y)
-    out = Grid(geom, adet * warped.values, source=src)
+    # |det T| > 0 keeps every +0.0 outside the warped box +0.0
+    out = Grid._adopt(geom, adet * warped.values, warped.box, src)
     return Filter(out, new_radius)
 
 

@@ -8,6 +8,20 @@ Conventions used throughout the package:
 - values[i, j] holds the sample at x = (j - m)*h, y = (m - i)*h, i.e. row 0
   is the top row (maximum y) and columns increase with x.
 - Reads outside the domain are 0 (compact-support convention).
+- Every Grid carries its box: the half-open index box (r0, r1, c0, c1) of
+  the samples whose bits are not +0.0, so every sample outside it is
+  exactly +0.0 (None when all are). It is found once, when the grid is
+  made, and the operations read it rather than scan, copy or difference
+  the whole domain to find or skip zeros. The public constructor copies
+  its array, which the caller may still hold, and scans the copy. Only the
+  package's producers (convolve, layer_forward, the warp core, render,
+  _sum_grids), which have just built a float64 array that nothing else
+  holds, hand it over without a copy through ``Grid._adopt``, with the
+  region they wrote: the scan then reads only that region, and the
+  finiteness check only the box.
+- A source that is +0.0 outside a known rectangle (a bump, a sum of bumps
+  such as a glyph) carries it, and ``render`` evaluates it only on the
+  samples of that rectangle, so re-rendering a bump costs O(disc).
 - Interpolation is bilinear everywhere. Sample coordinates that land within
   1e-9 index units of a lattice node snap to it, so lattice-preserving maps
   (integer shifts, 90-degree rotations) reproduce samples exactly instead of
@@ -17,7 +31,7 @@ Conventions used throughout the package:
   It reads an index box of the samples, padded with +0.0, and adds the four
   weighted corners onto +0.0 in the fixed order (0,0), (0,1), (1,0), (1,1).
   Since a zero read of either sign then changes no bit, the warp core
-  interpolates only near the input's nonzero box, writes +0.0 everywhere
+  interpolates only near the input's box, writes +0.0 everywhere
   else, and equals the whole-domain computation bit for bit. It pads the
   box once and interpolates the output in strips of whole rows of about
   _STRIP_SAMPLES samples, so its temporaries scale with a strip, not with
@@ -34,7 +48,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -94,23 +108,54 @@ def _snap_indices(t: np.ndarray) -> np.ndarray:
     return np.where(np.abs(t - r) <= _SNAP, r, t)
 
 
-def _bounding_box(nz: np.ndarray) -> Optional[Tuple[int, int, int, int]]:
+def _bounding_box(
+    nz: np.ndarray, r0: int = 0, c0: int = 0
+) -> Optional[Tuple[int, int, int, int]]:
     """Half-open bounding box (r0, r1, c0, c1) of the set entries of a
-    boolean array, or None when none is set."""
+    boolean array, shifted by (r0, c0), or None when none is set."""
     rows = np.flatnonzero(nz.any(axis=1))
     if rows.size == 0:
         return None
     cols = np.flatnonzero(nz.any(axis=0))
-    return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+    return int(rows[0]) + r0, int(rows[-1]) + 1 + r0, int(cols[0]) + c0, int(cols[-1]) + 1 + c0
 
 
-def _nonzero_box(values: np.ndarray) -> Optional[Tuple[int, int, int, int]]:
-    """Half-open bounding box (r0, r1, c0, c1) of the nonzero samples, or None.
+def _nonzero_box(
+    values: np.ndarray, within: Tuple[int, int, int, int]
+) -> Optional[Tuple[int, int, int, int]]:
+    """Half-open bounding box (r0, r1, c0, c1) of the nonzero samples, or None,
+    scanning only the index box ``within``, which must hold all of them.
 
     Samples equal to 0.0 (either sign) are outside the box, so every sample
     outside it is +0.0 or -0.0.
     """
-    return _bounding_box(values != 0.0)
+    r0, r1, c0, c1 = within
+    return _bounding_box(values[r0:r1, c0:c1] != 0.0, r0, c0)
+
+
+def _bits_box(
+    values: np.ndarray, within: Tuple[int, int, int, int]
+) -> Optional[Tuple[int, int, int, int]]:
+    """Half-open bounding box of the samples whose bits are not +0.0 (a -0.0
+    sample is inside), or None, scanning only the index box ``within``, which
+    must hold all of them."""
+    r0, r1, c0, c1 = within
+    return _bounding_box(values[r0:r1, c0:c1].view(np.uint64) != 0, r0, c0)
+
+
+def _union(*boxes) -> Optional[Tuple[int, int, int, int]]:
+    """The smallest box (lo0, hi0, lo1, hi1) holding every given box, of
+    indices or coordinates; a None (empty) box is skipped, and the union of
+    empty boxes is None."""
+    boxes = [b for b in boxes if b is not None]
+    if not boxes:
+        return None
+    return (
+        min(b[0] for b in boxes),
+        max(b[1] for b in boxes),
+        min(b[2] for b in boxes),
+        max(b[3] for b in boxes),
+    )
 
 
 def _index_coords(geometry: "GridGeometry", xs, ys) -> Tuple[np.ndarray, np.ndarray]:
@@ -147,6 +192,9 @@ def _bilinear(
     order (0,0), (0,1), (1,0), (1,1) onto +0.0, so a zero read of either sign
     changes no bit: callers may pass any box outside which the field holds
     only zeros. Each point's result depends on its own coordinates alone.
+    A coordinate whose floor does not fit an int64 casts to an arbitrary
+    index, which the clip keeps inside ``padded``; a caller that must read
+    such a point as outside the box clips the coordinate first.
     """
     r0, r1, c0, c1 = box
     width = padded.shape[1]
@@ -220,11 +268,23 @@ class Grid:
     The source, when present, is a vectorized callable ``(x, y) -> values``
     used by :func:`refine` to re-render at finer spacing instead of
     interpolating; all other operations work on the samples.
+
+    ``box`` is the half-open index box (r0, r1, c0, c1) bounding every
+    sample whose bits are not +0.0 (a -0.0 sample is inside it), or None
+    when every sample is +0.0; every sample outside it is exactly +0.0. It
+    is found once, when the grid is made, and the operations read it
+    instead of scanning the samples again. ``Grid(geometry, values)`` copies
+    ``values``, which its caller may still hold, scans the copy for the box
+    and rejects non-finite samples. Only the package's own producers, which
+    have just built a float64 array that nothing else holds, hand it over
+    without a copy (:meth:`_adopt`), naming the region they wrote: the box
+    scan then reads only that region, and the finiteness check only the box.
     """
 
     geometry: GridGeometry
     values: np.ndarray
     source: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    box: Optional[Tuple[int, int, int, int]] = field(init=False, repr=False)
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=np.float64)
@@ -233,10 +293,35 @@ class Grid:
             raise GeometryMismatchError(
                 f"values shape {vals.shape} does not match geometry ({n}, {n})"
             )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("grid values must be finite")
+        self._take(vals, (0, n, 0, n))
+
+    @classmethod
+    def _adopt(
+        cls,
+        geometry: GridGeometry,
+        values: np.ndarray,
+        region: Optional[Tuple[int, int, int, int]],
+        source: Optional[Callable] = None,
+    ) -> "Grid":
+        """A grid that owns ``values``, a float64 array of the geometry's
+        shape that the caller has just built and will not write again,
+        without a copy. Every sample outside the index box ``region`` (None
+        when nothing was written) must be +0.0."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "geometry", geometry)
+        object.__setattr__(g, "source", source)
+        g._take(values, region)
+        return g
+
+    def _take(self, vals: np.ndarray, region) -> None:
+        box = None if region is None else _bits_box(vals, region)
+        if box is not None:
+            r0, r1, c0, c1 = box
+            if not np.isfinite(vals[r0:r1, c0:c1]).all():
+                raise ValueError("grid values must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "box", box)
 
     @property
     def spacing(self) -> float:
@@ -254,13 +339,12 @@ class Grid:
     def sample_at(self, xs, ys) -> np.ndarray:
         """Bilinear interpolation at spatial points; reads outside the domain are 0.
 
-        Every call copies the whole grid once into :func:`_padded_box`. A
-        point outside the domain reads 0.0 and a non-finite coordinate gives
-        NaN, as on an unbounded zero-extended grid.
+        Every call copies the grid's box once into :func:`_padded_box`. A
+        point outside the domain reads 0.0 and a NaN coordinate gives NaN, as
+        on an unbounded zero-extended grid.
         """
         row, col = _index_coords(self.geometry, xs, ys)
-        n = self.geometry.size
-        box = (0, n, 0, n)
+        box = self.box or (0, 0, 0, 0)
         return _bilinear(_padded_box(self.values, box), box, row, col)
 
     def integral(self) -> float:
@@ -287,10 +371,10 @@ class GridCrop:
 
     @classmethod
     def of(cls, f: Grid) -> "GridCrop":
-        """f cropped to the bounding box of every sample whose bits are not
+        """f cropped to its box, which bounds every sample whose bits are not
         +0.0, so a -0.0 sample stays inside and :meth:`expand` gives back f's
         samples byte for byte. The source is not kept."""
-        box = _bounding_box(f.values.view(np.uint64) != 0) or (0, 0, 0, 0)
+        box = f.box or (0, 0, 0, 0)
         r0, r1, c0, c1 = box
         vals = f.values[r0:r1, c0:c1].copy()
         vals.setflags(write=False)
@@ -302,7 +386,7 @@ class GridCrop:
         r0, r1, c0, c1 = self.box
         vals = np.zeros((n, n), dtype=np.float64)
         vals[r0:r1, c0:c1] = self.values
-        return Grid(self.geometry, vals)
+        return Grid._adopt(self.geometry, vals, self.box)
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,30 +426,99 @@ class SupportEstimate:
     radius: float
 
 
+class _RectSource:
+    """A source that is exactly +0.0 outside the closed rectangle ``rect`` =
+    (x0, x1, y0, y1), so :func:`render` evaluates it only near the
+    rectangle."""
+
+    __slots__ = ("fn", "rect")
+
+    def __init__(self, fn: Callable, rect: Tuple[float, float, float, float]):
+        self.fn = fn
+        self.rect = rect
+
+    def __call__(self, x, y):
+        return self.fn(x, y)
+
+
 def _sum_grids(grids: Sequence[Grid]) -> Grid:
     """The sum of same-geometry grids: the first copied, each next one added
-    in order; the source is the sum of the sources when every grid has one."""
+    in order, on the union of their boxes (outside it every term is +0.0);
+    the source is the sum of the sources when every grid has one, and it
+    keeps the union of their rectangles when every source has one."""
     geom = grids[0].geometry
-    vals = grids[0].values.copy()
-    for g in grids[1:]:
-        vals += g.values
+    n = geom.size
+    vals = np.zeros((n, n), dtype=np.float64)
+    region = _union(*(g.box for g in grids))
+    if region is not None:
+        r0, r1, c0, c1 = region
+        part = vals[r0:r1, c0:c1]
+        part[...] = grids[0].values[r0:r1, c0:c1]
+        for g in grids[1:]:
+            part += g.values[r0:r1, c0:c1]
     src = None
     if all(g.source is not None for g in grids):
         sources = [g.source for g in grids]
         src = lambda x, y: sum(s(x, y) for s in sources)
-    return Grid(geom, vals, source=src)
+        if all(isinstance(s, _RectSource) for s in sources):
+            src = _RectSource(src, _union(*(s.rect for s in sources)))
+    return Grid._adopt(geom, vals, region, src)
+
+
+def _lattice_box(
+    geometry: GridGeometry, rect: Tuple[float, float, float, float]
+) -> Tuple[int, int, int, int]:
+    """The half-open index box of the samples that lie in the closed
+    rectangle (x0, x1, y0, y1), grown by one sample on every side against
+    rounding and clipped to the domain."""
+    x0, x1, y0, y1 = rect
+    h, m, n = geometry.spacing, geometry.half_count, geometry.size
+    bounds = (
+        math.floor(m - y1 / h) - 1,
+        math.ceil(m - y0 / h) + 2,
+        math.floor(x0 / h + m) - 1,
+        math.ceil(x1 / h + m) + 2,
+    )
+    return tuple(min(max(v, 0), n) for v in bounds)
+
+
+def _lattice_coords(
+    geometry: GridGeometry, box: Tuple[int, int, int, int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only x and y coordinates of the samples of an index box: the
+    values of coords() there, as broadcast views of the axes rather than
+    two meshes."""
+    r0, r1, c0, c1 = box
+    ax = geometry.axis()
+    shape = (r1 - r0, c1 - c0)
+    return (
+        np.broadcast_to(ax[c0:c1], shape),
+        np.broadcast_to(ax[::-1][r0:r1, np.newaxis], shape),
+    )
 
 
 def render(geometry: GridGeometry, source: Callable) -> Grid:
-    """Evaluate a vectorized analytic source on the lattice and keep it attached."""
-    X, Y = geometry.coords()
-    vals = np.asarray(source(X, Y), dtype=np.float64)
-    return Grid(geometry, vals, source=source)
+    """Evaluate a vectorized analytic source on the lattice and keep it attached.
+
+    The source receives the sample coordinates as read-only (n, n) arrays. A
+    source of the package that is +0.0 outside a known rectangle (a bump, a
+    glyph) is evaluated only on the samples of that rectangle, with a
+    one-sample margin; every other sample is +0.0, as the source would give.
+    """
+    n = geometry.size
+    if not isinstance(source, _RectSource):
+        vals = source(*_lattice_coords(geometry, (0, n, 0, n)))
+        # a source may return an array it keeps, so this one is copied
+        return Grid(geometry, np.asarray(vals, dtype=np.float64), source=source)
+    r0, r1, c0, c1 = region = _lattice_box(geometry, source.rect)
+    vals = np.zeros((n, n), dtype=np.float64)
+    vals[r0:r1, c0:c1] = source(*_lattice_coords(geometry, region))
+    return Grid._adopt(geometry, vals, region, source)
 
 
 def zeros(geometry: GridGeometry) -> Grid:
     n = geometry.size
-    return Grid(geometry, np.zeros((n, n)))
+    return Grid._adopt(geometry, np.zeros((n, n)), None)
 
 
 def make_bump(
@@ -378,7 +531,8 @@ def make_bump(
     t = |x - center|/radius < 1, exactly 0 outside the open ball.
 
     The profile is the classical C-infinity mollifier shape normalized so the
-    value at the center equals ``amplitude`` exactly.
+    value at the center equals ``amplitude`` exactly. Only the samples of
+    the ball's bounding square are evaluated.
     """
     if radius <= 0:
         raise ValueError(f"bump radius must be positive, got {radius}")
@@ -399,7 +553,8 @@ def make_bump(
         out[inside] = amp * np.exp(1.0 - 1.0 / (1.0 - t2[inside]))
         return out.reshape(np.shape(t2))
 
-    return render(geometry, src)
+    rect = (cx - radius, cx + radius, cy - radius, cy + radius)
+    return render(geometry, _RectSource(src, rect))
 
 
 def translate(f: Grid, delta: Sequence[float]) -> Grid:
@@ -444,7 +599,7 @@ def resample_affine(f: Grid, T, geometry: Optional[GridGeometry] = None) -> Grid
 def _warp(f: Grid, T, inv, offset, geometry: GridGeometry, source) -> Grid:
     """The one warp: out(x) = f(T^-1 (x - offset)) on ``geometry``,
     bilinear, with ``inv`` = T^-1 and ``source`` attached. Only the output
-    samples in ``_warped_box`` can read f's nonzero box; the rest stay +0.0.
+    samples in ``_warped_box`` can read f's box; the rest stay +0.0.
     The offset is subtracted from the 1-D axes, and x - 0.0 is x.
 
     f's box is padded once; the read coordinates and the bilinear reads are
@@ -453,9 +608,9 @@ def _warp(f: Grid, T, inv, offset, geometry: GridGeometry, source) -> Grid:
     one pass over the box, so the bits are the same too."""
     n = geometry.size
     out = np.zeros((n, n), dtype=np.float64)
-    box = _nonzero_box(f.values)
+    box, region = f.box, None
     if box is not None:
-        a, b, c, d = _warped_box(box, f.geometry, T, offset, geometry)
+        a, b, c, d = region = _warped_box(box, f.geometry, T, offset, geometry)
         if a < b and c < d:
             padded = _padded_box(f.values, box)
             ax = geometry.axis()
@@ -468,8 +623,12 @@ def _warp(f: Grid, T, inv, offset, geometry: GridGeometry, source) -> Grid:
                 row, col = _index_coords(
                     f.geometry, inv.a * X + inv.b * Ys, inv.c * X + inv.d * Ys
                 )
+                # a point clipped to the box border reads only border zeros,
+                # as it would unclipped, and casts to int64 without overflow
+                np.clip(row, box[0] - 2, box[1], out=row)
+                np.clip(col, box[2] - 2, box[3], out=col)
                 out[s:e, c:d] = _bilinear(padded, box, row, col)
-    return Grid(geometry, out, source=source)
+    return Grid._adopt(geometry, out, region, source)
 
 
 def _warped_box(
@@ -511,6 +670,11 @@ def distance(
     'sup' = max |f - g| over those samples, 0.0 for an empty mask;
     'l1' = h^2-weighted sum of |f - g| with every unmasked sample counted as
     +0.0, in pairwise_sum's fixed reduction order.
+
+    Outside the union of the two grids' boxes both fields are +0.0, so 'sup'
+    reads only that union (and the mask sliced to it). 'l1' stays
+    whole-domain: pairwise_sum's reduction tree follows the flat layout of
+    the whole array, so a sum over the union alone would round differently.
     """
     if not f.geometry.close_to(g.geometry):
         raise GeometryMismatchError(
@@ -519,9 +683,20 @@ def distance(
     key = norm.lower()
     if key not in ("sup", "l1"):
         raise ValueError(f"unknown norm {norm!r}; expected 'sup' or 'l1'")
-    diff = np.subtract(f.values, g.values)
-    if mask is not None and (getattr(mask, "dtype", None) != bool or mask.shape != diff.shape):
-        raise ValueError(f"mask must be a boolean array of shape {diff.shape}")
+    shape = f.values.shape
+    if mask is not None and (getattr(mask, "dtype", None) != bool or mask.shape != shape):
+        raise ValueError(f"mask must be a boolean array of shape {shape}")
+    if key == "sup":
+        region = _union(f.box, g.box)
+        if region is None:
+            return 0.0
+        r0, r1, c0, c1 = region
+        part = np.s_[r0:r1, c0:c1]
+        a, b = f.values[part], g.values[part]
+        mask = None if mask is None else mask[part]
+    else:
+        a, b = f.values, g.values
+    diff = np.subtract(a, b)
     np.abs(diff, out=diff)
     if mask is not None:
         diff *= mask  # |d| * False is +0.0, so the max and sum ignore it
@@ -535,12 +710,14 @@ def support_estimate(f: Grid, threshold: float) -> SupportEstimate:
     """Area (h^2 per sample) and origin-distance radius of samples with |value| > threshold."""
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
-    mask = np.abs(f.values) > threshold
+    # every sample outside the box is +0.0, which no threshold exceeds
+    r0, r1, c0, c1 = box = f.box or (0, 0, 0, 0)
+    mask = np.abs(f.values[r0:r1, c0:c1]) > threshold
     h = f.geometry.spacing
     count = int(np.count_nonzero(mask))
     if count == 0:
         return SupportEstimate(threshold, 0.0, 0.0)
-    X, Y = f.geometry.coords()
+    X, Y = _lattice_coords(f.geometry, box)
     radius = float(np.max(np.hypot(X[mask], Y[mask])))
     return SupportEstimate(threshold, h * h * count, radius)
 

@@ -570,6 +570,7 @@ def test_audit_fuzzed_config_is_a_config_error(data):
 _BAD_SPECS = [
     "shear:1e150",
     "shear:1e100",
+    "shear:1e20",
     "mat:1e154,0,0,1e-154",
     "scale:1e150,1e-150",
     "mat:1e200,0,0,1e-200",

@@ -6,10 +6,14 @@ against test-local copies of the whole-domain loops, on fields, maps
 (the identity included), shifts (lattice ones included) and points drawn by
 hypothesis, and convolve's FFT engine against its direct engine within
 rounding, and the masked residual of distance against the inline formulas
-it replaced, and GridCrop's round trip. The examples are derandomized, so
-every run draws the same ones.
+it replaced, and GridCrop's round trip. The last part checks every grid's
+stored box against a whole-domain scan, the renders, layer_forward and
+support_estimate that work on boxes against whole-domain copies, and the
+copy and finiteness check of the public Grid constructor. The examples are
+derandomized, so every run draws the same ones.
 """
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -17,18 +21,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equiaudit import (
+    ConvLayer,
+    FeatureStack,
     Filter,
     Grid,
     GridCrop,
     GridGeometry,
+    Nonlinearity,
     convolve,
     distance,
     embed_filter,
     filter_from_grid,
+    layer_forward,
+    make_bump,
     pairwise_sum,
+    refine,
+    render,
     resample_affine,
+    support_estimate,
     translate,
 )
+from equiaudit.audit import glyph
 from equiaudit.transform import LinearMap2
 
 # image geometries of 11, 21, 33 and 161 samples per side; the widest makes
@@ -377,3 +390,179 @@ def test_grid_crop_expands_to_the_same_bytes(data):
     assert inside.sum() == set_bits.sum()
     assert inside[0].any() and inside[-1].any()
     assert inside[:, 0].any() and inside[:, -1].any()
+
+
+def scanned_box(g: Grid):
+    """The half-open box of every sample whose bits are not +0.0, found by
+    scanning the whole domain, or None when there is none."""
+    nz = g.values.view(np.uint64) != 0
+    rows = np.flatnonzero(nz.any(axis=1))
+    if rows.size == 0:
+        return None
+    cols = np.flatnonzero(nz.any(axis=0))
+    return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+
+
+NONLINEARITIES = ["identity", "relu", "lipschitz_sigmoid(2)", "softmax"]
+
+
+@st.composite
+def layers(draw, image: GridGeometry, in_channels: int, out_channels: int) -> ConvLayer:
+    """A layer of drawn kernels, zero-padded onto the widest one's geometry,
+    with biases of +0.0, -0.0 or a nonzero value and any nonlinearity."""
+    ks = [draw(kernels(image)) for _ in range(in_channels * out_channels)]
+    widest = max((k.grid.geometry for k in ks), key=lambda g: g.size)
+    ks = [embed_filter(k, widest) for k in ks]
+    rows = tuple(
+        tuple(ks[m * out_channels + c] for c in range(out_channels)) for m in range(in_channels)
+    )
+    biases = tuple(draw(st.sampled_from([0.0, -0.0, 0.5])) for _ in range(out_channels))
+    return ConvLayer(rows, biases, Nonlinearity.parse(draw(st.sampled_from(NONLINEARITIES))))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_producer_stores_the_box_of_a_whole_domain_scan(data):
+    # compact, dense and all-zero inputs on either zero background, through
+    # each producer that hands its array over with the region it wrote
+    geom = data.draw(IMAGE_GEOMETRIES)
+    f = data.draw(fields(geom))
+    lam = data.draw(kernels(geom))
+    delta = (data.draw(shifts(geom)), data.draw(shifts(geom)))
+    layer = data.draw(layers(geom, 1, 2))
+    products = [
+        convolve(f, lam),
+        convolve(f, lam, exact=False),
+        resample_affine(f, data.draw(MAPS), geometry=data.draw(TARGETS)),
+        translate(f, delta),
+        refine(f, 2),
+        GridCrop.of(f).expand(),
+    ]
+    products += layer_forward(f, layer, exact=data.draw(st.booleans())).channels
+    for g in products:
+        assert g.box == scanned_box(g)
+    assert GridCrop.of(f).box == (scanned_box(f) or (0, 0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "kind, bias", [(k, b) for k in NONLINEARITIES for b in (0.0, -0.0, 0.5)]
+)
+@pytest.mark.parametrize("exact", [True, False])
+def test_layer_forward_outputs_store_a_scanned_box(kind, bias, exact):
+    # a compact input, so that a layer that keeps +0.0 outside the
+    # convolutions' boxes and one that does not both show
+    geom = GridGeometry(0.8, 0.05)
+    f = make_bump((0.2, -0.1), 0.3, 1.0, geom)
+    lam = filter_from_grid(make_bump((0.0, 0.0), 0.1, 1.0, GridGeometry(0.15, 0.05)))
+    layer = ConvLayer(((lam, lam),), (bias, bias), Nonlinearity.parse(kind))
+    for g in layer_forward(f, layer, exact=exact).channels:
+        assert g.box == scanned_box(g)
+
+
+def sourced_grids(geom: GridGeometry):
+    return [
+        make_bump((0.3, -0.2), 0.25, 1.3, geom),
+        make_bump((0.75, 0.1), 0.25, 0.9, geom),  # touches the right edge
+        make_bump((0.013, -0.027), 0.01, 1.0, geom),  # narrower than a sample
+        make_bump((-0.5, 0.5), 0.5, 1.0, geom),  # touches two edges
+        glyph("W", (0.1, -0.05), 0.2, geom),
+        glyph("M", (-0.2, 0.3), 0.12, geom),
+        render(geom, lambda x, y: np.tanh(np.asarray(x) / 0.1) * (np.hypot(x, y) < 0.4)),
+    ]
+
+
+@pytest.mark.parametrize("factor", [1, 2, 4])
+def test_box_restricted_render_equals_the_whole_domain_render(factor):
+    # a bump or glyph is evaluated only on its disc's square (and margin);
+    # every bit must match evaluating its source on the whole lattice
+    geom = GridGeometry(1.0, 0.05)
+    for coarse in sourced_grids(geom):
+        g = refine(coarse, factor)
+        X, Y = g.geometry.coords()
+        want = np.asarray(coarse.source(X, Y), dtype=np.float64)
+        assert g.values.tobytes() == want.tobytes()
+        assert g.box == scanned_box(g)
+
+
+def reference_layer_forward(stack, layer: ConvLayer, exact: bool) -> np.ndarray:
+    """The whole-domain layer: each pre-activation summed in ascending m over
+    every sample, the bias added, the nonlinearity applied to the stack."""
+    pre = []
+    for c in range(layer.out_channels):
+        acc = None
+        for m in range(layer.in_channels):
+            g = convolve(stack[m], layer.kernels[m][c], exact=exact)
+            acc = g.values if acc is None else acc + g.values
+        pre.append(acc + layer.biases[c])
+    return layer.nonlinearity.apply(np.stack(pre))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_layer_forward_matches_the_whole_domain_loop_bit_for_bit(data):
+    geom = data.draw(IMAGE_GEOMETRIES)
+    stack = [data.draw(fields(geom)) for _ in range(2)]
+    layer = data.draw(layers(geom, 2, 2))
+    exact = data.draw(st.booleans())
+    got = layer_forward(FeatureStack(tuple(stack)), layer, exact=exact)
+    want = reference_layer_forward(stack, layer, exact)
+    for c in range(2):
+        assert got.channels[c].values.tobytes() == want[c].tobytes()
+
+
+def reference_support_estimate(f: Grid, threshold: float):
+    """support_estimate over the whole domain: (measure, radius)."""
+    mask = np.abs(f.values) > threshold
+    count = int(np.count_nonzero(mask))
+    if count == 0:
+        return 0.0, 0.0
+    X, Y = f.geometry.coords()
+    return f.spacing**2 * count, float(np.max(np.hypot(X[mask], Y[mask])))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_support_estimate_matches_the_whole_domain_scan_bit_for_bit(data):
+    geom = data.draw(IMAGE_GEOMETRIES)
+    f = data.draw(fields(geom))
+    threshold = data.draw(st.sampled_from([0.0, 0.5, 3.0]))
+    est = support_estimate(f, threshold)
+    want = np.array(reference_support_estimate(f, threshold))
+    assert np.array([est.measure, est.radius]).tobytes() == want.tobytes()
+
+
+def test_public_grid_copies_its_array_and_checks_finiteness_on_its_box():
+    geom = GridGeometry(0.5, 0.05)
+    arr = np.zeros((geom.size, geom.size))
+    arr[3:6, 4:8] = 1.0
+    g = Grid(geom, arr)
+    arr[4, 5] = 7.0  # neither write reaches the grid
+    arr[0, 0] = 3.0
+    assert g.values[4, 5] == 1.0 and g.values[0, 0] == 0.0
+    assert g.box == (3, 6, 4, 8)
+    assert not g.values.flags.writeable
+    with pytest.raises(ValueError):
+        g.values[0, 0] = 1.0
+    base = np.zeros((geom.size, geom.size))
+    base[3:6, 4:8] = 1.0
+    # the box's corners and edges, its interior, and a lone sample far away
+    for i, j in [(3, 4), (5, 7), (3, 6), (4, 5), (0, 0), (geom.size - 1, 2)]:
+        for bad in (np.nan, np.inf, -np.inf):
+            vals = base.copy()
+            vals[i, j] = bad
+            with pytest.raises(ValueError, match="finite"):
+                Grid(geom, vals)
+
+
+def test_a_huge_shear_reads_off_the_domain_as_zero_without_a_warning():
+    # only the row y = 0 reads the input; every other row's read points lie
+    # about 1e21 index units away, beyond what an int64 index can hold
+    geom = GridGeometry(0.5, 0.05)
+    f = make_bump((0.05, 0.0), 0.3, 1.0, geom)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = resample_affine(f, LinearMap2.shear(1e20))
+    m = geom.half_count
+    want = np.zeros(f.values.shape)
+    want[m] = f.values[m]
+    assert out.values.tobytes() == want.tobytes()
